@@ -1,20 +1,22 @@
 // Self-hosted front-end throughput: the full synthetic detection corpus is
 // evaluated end-to-end (parse -> semantic model incl. dynamic analysis ->
 // pattern detection -> scoring) by the sequential front-end and by the
-// parallel front-end running on Patty's own runtime (corpus pipeline +
-// parallel_for loop matching + master/worker region scan), at 2/4/8
-// workers.
+// parallel front-end running on Patty's own runtime (one parallel_for of
+// whole-program tasks, with parallel_for loop matching + master/worker
+// region scan nested inside), at 2/4/8 workers.
 //
 // Dynamic analysis runs in emulated-multicore mode (work(n) sleeps instead
 // of burning CPU — DESIGN.md substitutions), so the speedup shape is
 // reproducible on hosts with fewer cores than the paper's testbed; real-CPU
 // rows at the same worker counts measure what the host actually delivers
-// (the JSON records cpu_cores so readers can interpret them). A large-corpus
-// real-CPU section (default 1000 generated programs) exercises the batched
-// pipeline granularity where per-item handoff costs would otherwise
-// dominate. Every run's detection fingerprint must equal the sequential one
-// — the bench exits 2 on any divergence, making each timing row also a
-// determinism check.
+// (the JSON records cpu_cores so readers can interpret them). The worker
+// count is the loop's ParallelForTuning::threads, but the tasks run on the
+// shared pool (max(4, nproc) workers, plus the calling thread), so the
+// pool, not the row's count, bounds the emulated 8-worker row. A
+// large-corpus real-CPU section (default 1000 generated programs) shows how
+// the loop scales with corpus size. Every run's detection fingerprint must
+// equal the sequential one — the bench exits 2 on any divergence, making
+// each timing row also a determinism check.
 //
 // Results go to stdout as a table and to BENCH_analysis.json. Flags:
 //   --short         reduced corpus, no large section (perf-smoke ctest entry)
@@ -106,10 +108,8 @@ ModeResult run_mode(const std::vector<const patty::corpus::CorpusProgram*>&
     row.seconds = run_once(corpus, config, reference, nullptr);
     row.speedup = seq.seconds / row.seconds;
     result.rows.push_back(row);
-    std::printf("  parallel x%-2d    : %7.3fs  (%.2fx, batch %d)\n", threads,
-                row.seconds, row.speedup,
-                patty::corpus::resolve_batch_size(config, corpus.size(),
-                                                  threads));
+    std::printf("  parallel x%-2d    : %7.3fs  (%.2fx)\n", threads,
+                row.seconds, row.speedup);
   }
   return result;
 }
@@ -210,8 +210,8 @@ int main(int argc, char** argv) {
       run_mode(corpus, /*work_sleeps=*/false, 0, thread_counts, &fingerprint);
 
   // Large corpus: generated with the same config knobs at 1000 programs.
-  // Real CPU only — this section exists to show the batched pipeline
-  // amortizing per-item handoff at scale, which emulated sleeps would mask.
+  // Real CPU only — emulated sleeps would mask the scaling limits this
+  // section exists to show.
   ModeResult large;
   std::size_t large_loc = 0;
   if (large_programs > 0) {

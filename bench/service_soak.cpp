@@ -7,10 +7,10 @@
 //      hitting vs bypassed (no_cache). The smoke assertion requires the
 //      cached p99 to beat the uncached p99 — the cache must pay for itself.
 //   3. Shed-not-queue: a worker-starved daemon with a tiny admission queue
-//      is flooded; the bench measures the shed rate, the queue's high-water
-//      mark (must stay at or under the limit) and the round-trip time of a
-//      request shed while the daemon is plugged (must be immediate, not
-//      queued behind the plug).
+//      is flooded until the queue holds its limit; the bench measures the
+//      shed rate, the queue's high-water mark (must stay at or under the
+//      limit) and the round-trip time of a request shed while the daemon is
+//      plugged (must be immediate, not queued behind the plug).
 //   4. Disarmed failpoint overhead on the daemon path: the service request
 //      path compiles in failpoint sites (service.decode & co); a disarmed
 //      site must cost under 1% on a tight loop, same bound and de-flake
@@ -128,6 +128,7 @@ struct ShedResult {
   int overloaded = 0;
   int other = 0;
   std::int64_t queue_high_water = 0;
+  bool plugged = false;    // the flood filled the queue to its limit
   double shed_rtt_ms = 0;  // round-trip of a request shed while plugged
 };
 
@@ -147,10 +148,8 @@ ShedResult run_shed(int burst) {
     Client flood;
     std::string error;
     if (!flood.connect(options.socket_path, &error)) return r;
-    // Plug the single worker and fill the queue: each request's dynamic
-    // analysis sleeps ~150 ms (emulated multicore), so the flood outruns
-    // the drain by construction.
-    for (int i = 0; i < burst; ++i) {
+    int sent = 0;
+    const auto send = [&](int i) {
       Request req;
       req.id = i + 1;
       req.kind = RequestKind::Detect;
@@ -161,11 +160,39 @@ ShedResult run_shed(int burst) {
       req.work_sleeps = true;
       req.work_sleep_ns = 1'000'000;
       req.no_cache = true;
-      if (!flood.send(req, &error)) break;
-    }
+      if (!flood.send(req, &error)) return false;
+      ++sent;
+      return true;
+    };
+    // The daemon decodes requests asynchronously, so each step of the plug
+    // is awaited (bounded) before the next: a probe sent before the queue
+    // is full would be queued instead of shed. Not reaching the plugged
+    // state fails the run.
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    const auto await = [&](auto reached) {
+      while (!reached() && Clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      return reached();
+    };
+    // Plug the single worker with the first request, then fill the queue
+    // behind it: each request's dynamic analysis sleeps ~150 ms (emulated
+    // multicore), so the queue stays full that long.
+    const patty::observe::Counter& accepted =
+        patty::observe::Registry::global().counter(
+            "service.requests.accepted");
+    const std::uint64_t accepted_before = accepted.value();
+    r.plugged = send(0) && await([&] {
+                  return accepted.value() > accepted_before &&
+                         server.queue_depth() == 0;
+                });
+    for (int i = 1; r.plugged && i < burst; ++i)
+      if (!send(i)) break;
+    r.plugged = r.plugged && await([&] {
+                  return server.queue_depth() >= options.queue_limit;
+                });
     // While the daemon is plugged, a fresh connection's request must be
     // shed immediately — not queued behind ~seconds of pending work.
-    {
+    if (r.plugged) {
       Client probe;
       std::string error2;
       if (probe.connect(options.socket_path, &error2)) {
@@ -183,7 +210,7 @@ ShedResult run_shed(int burst) {
           ++r.other;
       }
     }
-    for (int i = 0; i < burst; ++i) {
+    for (int i = 0; i < sent; ++i) {
       const auto resp = flood.recv(&error);
       if (!resp) break;
       if (resp->ok)
@@ -356,12 +383,14 @@ int main(int argc, char** argv) {
     // Gate 3: shed-not-queue — bounded depth, real shedding, and the shed
     // answer arrives orders of magnitude before the plugged queue drains
     // (~150 ms per plugged request).
-    if (shed.completed + shed.overloaded + shed.other < shed.offered ||
+    if (!shed.plugged ||
+        shed.completed + shed.overloaded + shed.other < shed.offered ||
         shed.overloaded < 1 || shed.queue_high_water > 4 ||
         shed.shed_rtt_ms > 100.0) {
       std::fprintf(stderr,
-                   "perf-smoke FAILED: shed gate (answered %d/%d, "
+                   "perf-smoke FAILED: shed gate (%s, answered %d/%d, "
                    "overloaded %d, high-water %lld, rtt %.3f ms)\n",
+                   shed.plugged ? "plugged" : "queue never filled",
                    shed.completed + shed.overloaded + shed.other,
                    shed.offered, shed.overloaded,
                    static_cast<long long>(shed.queue_high_water),

@@ -119,15 +119,19 @@ DetectionScore score_program(const CorpusProgram& program, bool optimistic,
 
 /// Self-hosted front-end configuration for corpus-wide evaluation.
 struct FrontendConfig {
-  /// Pipeline the corpus through the lock-free runtime — parse ->
-  /// semantic model -> detect, scored at the sink — with parallel model
-  /// construction and per-loop matching inside each stage. False runs the
-  /// identical per-program functions inline on the calling thread, so the
+  /// Run the corpus as one rt::parallel_for over program indices on the
+  /// shared work-stealing pool: each iteration is a whole-program task
+  /// (parse -> semantic model -> detect -> score, then the inspect and
+  /// adopt hooks) writing its own report slot, with parallel model
+  /// construction and per-loop matching nested inside. False runs the
+  /// identical per-program function inline on the calling thread, so the
   /// two modes produce byte-identical reports (the determinism suite
   /// asserts this).
   bool parallel = false;
-  /// Worker budget across the pipeline stages; 0 resolves through
-  /// frontend_threads() (PATTY_FRONTEND_THREADS env var, else hardware).
+  /// The loop's ParallelForTuning::threads: <= 1 runs the parallel mode
+  /// inline on the caller; the shared pool's size bounds concurrency. 0
+  /// resolves through frontend_threads() (PATTY_FRONTEND_THREADS env var,
+  /// else hardware).
   int threads = 0;
   /// Detection mode (the paper's optimistic default vs static baseline).
   bool optimistic = true;
@@ -136,26 +140,24 @@ struct FrontendConfig {
   /// benches reproduce parallel speedup shapes on few-core hosts.
   bool work_sleeps = false;
   std::uint64_t work_sleep_ns = 2'000;
-  /// Programs per pipeline work item. Small MiniOO programs make per-item
-  /// queue/handoff overhead visible, so the parallel front-end moves
-  /// *blocks* of programs through the stages. 0 = auto-size from corpus
-  /// size and worker count (~8 batches in flight per worker, capped at
-  /// 32 programs per batch). Ignored by the sequential path.
-  int batch_size = 0;
-  /// Optional per-program tap, invoked at the report sink with the full
-  /// front-end artifacts (AST, semantic model, detection result) before
-  /// they are torn down. Lets downstream drivers — the MHP certifier in
-  /// particular — run over every corpus program without re-parsing or
-  /// re-analyzing. Under the parallel front-end the hook fires on sink
-  /// threads, possibly concurrently: it must be thread-safe. Never called
-  /// for programs whose front-end failed (see ProgramReport::error).
+  /// Optional per-program tap, invoked at the end of the program's task
+  /// with the full front-end artifacts (AST, semantic model, detection
+  /// result) before they are torn down. Lets downstream passes — the MHP
+  /// certifier in particular — run over every corpus program without
+  /// re-parsing or re-analyzing. Under the parallel front-end the hook
+  /// fires on pool workers (and the calling thread), concurrently for
+  /// different programs and in no particular order: it must be
+  /// thread-safe, and ProgramInspection::index says where the result
+  /// belongs. Never called for programs whose front-end failed (see
+  /// ProgramReport::error).
   std::function<void(const struct ProgramInspection&)> inspect;
   /// Like inspect, but receives OWNERSHIP of the artifacts instead of a
-  /// borrowed view (fires after inspect, same threading contract). This is
-  /// how the service layer's model cache keeps the frozen semantic model
-  /// alive past the evaluation: the front-end built it once, the adopter
-  /// files it under the source's content hash. A program whose front-end
-  /// failed is never adopted.
+  /// borrowed view (fires after inspect for the same program, same
+  /// threading contract: concurrently on pool workers). This is how the
+  /// service layer's model cache keeps the frozen semantic model alive
+  /// past the evaluation: the front-end built it once, the adopter files
+  /// it under the source's content hash. A program whose front-end failed
+  /// is never adopted.
   std::function<void(struct ProgramArtifacts&&)> adopt;
 };
 
@@ -187,11 +189,6 @@ struct ProgramArtifacts {
   ProgramArtifacts& operator=(ProgramArtifacts&&) noexcept;
   ~ProgramArtifacts();
 };
-
-/// The batch size the parallel front-end will use for a corpus of
-/// `corpus_size` programs on `threads` workers (resolves batch_size = 0).
-int resolve_batch_size(const FrontendConfig& config, std::size_t corpus_size,
-                       int threads);
 
 /// Per-program outcome of a corpus evaluation, in corpus order.
 struct ProgramReport {

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <thread>
@@ -10,7 +9,7 @@
 #include "observe/trace.hpp"
 #include "patterns/detector.hpp"
 #include "runtime/cancellation.hpp"
-#include "runtime/pipeline.hpp"
+#include "runtime/parallel_for.hpp"
 
 namespace patty::corpus {
 
@@ -23,24 +22,15 @@ ProgramArtifacts::~ProgramArtifacts() = default;
 namespace {
 
 /// One program moving through the front-end. Stages mutate it in place;
-/// a nonempty `error` short-circuits the remaining stages (pipeline stage
-/// bodies run on detached threads, so errors travel in the item rather
-/// than as exceptions).
+/// a nonempty `error` short-circuits the remaining stages, so a program that
+/// fails reports its error instead of failing the corpus.
 struct ProgramTask {
-  std::size_t index = 0;  // slot in the report (arrival order varies)
+  std::size_t index = 0;  // slot in the report
   const CorpusProgram* program = nullptr;
   std::unique_ptr<lang::Program> parsed;
   std::unique_ptr<analysis::SemanticModel> model;
   patterns::DetectionResult detection;
   std::string error;
-};
-
-/// Pipeline work item: a *block* of consecutive programs. Batching
-/// amortizes queue handoff and stage wake-ups over batch_size programs —
-/// on real hardware the per-item constant cost is what separates the
-/// parallel front-end from the sequential loop.
-struct WorkItem {
-  std::vector<ProgramTask> tasks;
 };
 
 void stage_parse(ProgramTask& item) {
@@ -134,6 +124,19 @@ ProgramReport report_for(ProgramTask& item, const FrontendConfig& config) {
   return report;
 }
 
+/// The whole front-end for one program: the unit of work of both modes.
+ProgramReport evaluate_program(const CorpusProgram& program,
+                               std::size_t index,
+                               const FrontendConfig& config) {
+  ProgramTask item;
+  item.index = index;
+  item.program = &program;
+  stage_parse(item);
+  stage_model(item, config);
+  stage_detect(item, config);
+  return report_for(item, config);
+}
+
 }  // namespace
 
 DetectionScore score_program(const CorpusProgram& program, bool optimistic,
@@ -150,17 +153,6 @@ DetectionScore score_program(const CorpusProgram& program, bool optimistic,
     return {};
   }
   return score_detection(program, item.detection);
-}
-
-int resolve_batch_size(const FrontendConfig& config, std::size_t corpus_size,
-                       int threads) {
-  if (config.batch_size > 0) return config.batch_size;
-  // Auto: keep ~8 batches in flight per worker so stages stay saturated
-  // while handoff costs amortize; cap so one batch never starves the rest
-  // of the pipeline.
-  const std::size_t per =
-      corpus_size / (static_cast<std::size_t>(std::max(1, threads)) * 8);
-  return static_cast<int>(std::clamp<std::size_t>(per, 1, 32));
 }
 
 int frontend_threads(int requested) {
@@ -191,71 +183,26 @@ CorpusReport evaluate_corpus(
   report.programs.resize(programs.size());
 
   if (!config.parallel) {
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-      ProgramTask item;
-      item.index = i;
-      item.program = programs[i];
-      stage_parse(item);
-      stage_model(item, config);
-      stage_detect(item, config);
-      report.programs[i] = report_for(item, config);
-    }
+    for (std::size_t i = 0; i < programs.size(); ++i)
+      report.programs[i] = evaluate_program(*programs[i], i, config);
   } else {
-    // Self-hosted front-end: the corpus streams through the lock-free
-    // Pipeline. The model stage carries the dynamic-analysis run (the
-    // dominant cost) and gets the whole worker budget; parse and detect
-    // are lighter and take fractions. Stage workers that hit nested
-    // parallel_for/master_worker (model build, detect_all) submit to the
-    // shared pool and join helpingly — that pool is shared across all
-    // stage replicas, so the budget is approximate by design.
-    const int threads = frontend_threads(config.threads);
-    const std::size_t batch = static_cast<std::size_t>(
-        resolve_batch_size(config, programs.size(), threads));
-    rt::PipelineConfig pipe_config;
-    pipe_config.name = "frontend";
-    pipe_config.buffer_capacity =
-        std::max<std::size_t>(4, static_cast<std::size_t>(threads));
-    using Stage = rt::Pipeline<WorkItem>::Stage;
-    std::vector<Stage> stages;
-    stages.push_back({"parse",
-                      [](WorkItem& item) {
-                        for (ProgramTask& t : item.tasks) stage_parse(t);
-                      },
-                      std::max(1, threads / 4)});
-    stages.push_back({"model",
-                      [&config](WorkItem& item) {
-                        for (ProgramTask& t : item.tasks)
-                          stage_model(t, config);
-                      },
-                      threads});
-    stages.push_back({"detect",
-                      [&config](WorkItem& item) {
-                        for (ProgramTask& t : item.tasks)
-                          stage_detect(t, config);
-                      },
-                      std::max(1, threads / 2)});
-    rt::Pipeline<WorkItem> pipeline(std::move(stages), pipe_config);
-    std::size_t next = 0;
-    pipeline.run(
-        [&]() -> std::optional<WorkItem> {
-          if (next >= programs.size()) return std::nullopt;
-          WorkItem item;
-          const std::size_t end = std::min(next + batch, programs.size());
-          item.tasks.reserve(end - next);
-          for (; next < end; ++next) {
-            ProgramTask t;
-            t.index = next;
-            t.program = programs[next];
-            item.tasks.push_back(std::move(t));
-          }
-          return item;
+    // Self-hosted front-end: programs are independent and each writes only
+    // its own index-addressed slot, so the corpus is a data-parallel loop.
+    // One whole-program task per index on the shared work-stealing pool,
+    // so every phase (certification in the inspect tap included) runs
+    // concurrently. Nested loops in the model build and detect_all join
+    // helpingly on the same pool.
+    rt::ParallelForTuning tuning;
+    tuning.threads = frontend_threads(config.threads);
+    tuning.grain = 1;
+    rt::parallel_for(
+        0, static_cast<std::int64_t>(programs.size()),
+        [&](std::int64_t i) {
+          const auto slot = static_cast<std::size_t>(i);
+          report.programs[slot] =
+              evaluate_program(*programs[slot], slot, config);
         },
-        [&report, &config](WorkItem&& item) {
-          // Arrival order is nondeterministic behind replicated stages;
-          // index-addressed slots restore corpus order exactly.
-          for (ProgramTask& t : item.tasks)
-            report.programs[t.index] = report_for(t, config);
-        });
+        tuning);
   }
 
   for (const ProgramReport& p : report.programs) {

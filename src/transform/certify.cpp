@@ -132,12 +132,12 @@ ProgramCertificate certify_program(
   ProgramCertificate cert;
   cert.program = name;
 
-  const std::vector<RegionShape> shapes =
-      plan_region_shapes(program, candidates, tuning);
-  const analysis::MhpGraph graph = build_region_graph(shapes);
-  const analysis::MhpFacts facts(graph);
   const analysis::CallGraph cg = analysis::build_call_graph(program);
   const analysis::EffectAnalysis effects(program, cg);
+  const std::vector<RegionShape> shapes =
+      plan_region_shapes(program, effects, candidates, tuning);
+  const analysis::MhpGraph graph = build_region_graph(shapes);
+  const analysis::MhpFacts facts(graph);
   const analysis::FreshnessAnalysis freshness(program, cg, effects);
   cert.summary = analysis::enumerate_conflicts(graph, facts, effects,
                                                freshness);

@@ -670,11 +670,9 @@ rt::TuningConfig default_tuning(const std::vector<Candidate>& candidates) {
 }
 
 std::vector<RegionShape> plan_region_shapes(
-    const lang::Program& program, const std::vector<Candidate>& candidates,
+    const lang::Program& program, const analysis::EffectAnalysis& effects,
+    const std::vector<Candidate>& candidates,
     const rt::TuningConfig* tuning) {
-  const analysis::CallGraph cg = analysis::build_call_graph(program);
-  const analysis::EffectAnalysis effects(program, cg);
-
   std::vector<RegionShape> shapes;
   shapes.reserve(candidates.size());
   for (const Candidate& c : candidates) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/effects.hpp"
 #include "analysis/interpreter.hpp"
 #include "patterns/candidate.hpp"
 #include "runtime/tuning.hpp"
@@ -114,10 +115,11 @@ struct RegionShape {
 
 /// Compute the region shapes the executor's plan builder would arm for
 /// these candidates, honouring `tuning` exactly like the executor does
-/// (same safety bail-outs, same parameter lookups). Shapes alias the
-/// program's AST and the candidate vector — keep both alive.
+/// (same safety bail-outs, same parameter lookups). `effects` is the
+/// caller's effect analysis of `program`. Shapes alias the program's AST
+/// and the candidate vector — keep both alive.
 std::vector<RegionShape> plan_region_shapes(
-    const lang::Program& program,
+    const lang::Program& program, const analysis::EffectAnalysis& effects,
     const std::vector<patterns::Candidate>& candidates,
     const rt::TuningConfig* tuning = nullptr);
 

@@ -1,9 +1,11 @@
 // Self-hosted front-end regression suite (label `analysis`, also run in the
 // sanitizer `stress` job):
-//  * the parallel front-end — corpus pipeline, parallel model build,
-//    parallel per-loop matching — must report byte-identical detections to
-//    the sequential front-end across the whole corpus (handwritten + full
-//    synthetic study suite);
+//  * the parallel front-end — one parallel_for of whole-program tasks,
+//    parallel model build, parallel per-loop matching — must report
+//    byte-identical detections to the sequential front-end across the whole
+//    corpus (handwritten + full synthetic study suite);
+//  * a failing program fails only its own report, and a stopped ambient
+//    token cancels the parallel front-end;
 //  * the dependence memo returns stable references and computes once per
 //    (loop, mode);
 //  * a shared Profiler stays consistent (and TSan-clean) under concurrent
@@ -23,6 +25,7 @@
 #include "corpus/corpus.hpp"
 #include "lang/sema.hpp"
 #include "patterns/detector.hpp"
+#include "runtime/cancellation.hpp"
 
 namespace patty {
 namespace {
@@ -65,12 +68,10 @@ TEST(FrontendDeterminism, ParallelMatchesSequentialByteForByte) {
   }
 }
 
-TEST(FrontendDeterminism, LargeBatchedCorpusMatchesSequential) {
-  // Scale test for the batched pipeline granularity: a 300-program
-  // generated corpus, so the auto batch size exceeds 1 (work items carry
-  // blocks of programs) and explicit batch sizes cut the corpus at
-  // non-aligned boundaries. Every configuration must reproduce the
-  // sequential fingerprint byte for byte.
+TEST(FrontendDeterminism, LargeCorpusMatchesSequential) {
+  // Scale test: a 300-program generated corpus, many times more
+  // whole-program tasks than the shared pool has workers, must reproduce
+  // the sequential fingerprint byte for byte.
   corpus::SyntheticConfig generator;
   generator.programs = 300;
   const std::vector<corpus::CorpusProgram> synthetic =
@@ -86,26 +87,79 @@ TEST(FrontendDeterminism, LargeBatchedCorpusMatchesSequential) {
 
   config.parallel = true;
   config.threads = 8;
-  // Auto batching must exceed one program per item at this scale.
-  EXPECT_GT(corpus::resolve_batch_size(config, all.size(), config.threads), 1);
-  for (int batch : {0, 1, 7, 32}) {  // 0 = auto; 7 straddles block bounds
-    config.batch_size = batch;
-    EXPECT_EQ(corpus::evaluate_corpus(all, config).fingerprint(), reference)
-        << "batch_size " << batch;
+  EXPECT_EQ(corpus::evaluate_corpus(all, config).fingerprint(), reference);
+}
+
+TEST(FrontendErrors, FailingProgramOnlyFailsItsOwnReport) {
+  // A program that faults in its dynamic-analysis run sits in the middle
+  // of the corpus. Only its report carries the error; every other program
+  // is analysed, reported in corpus order, and inspected exactly once.
+  corpus::SyntheticConfig generator;
+  generator.programs = 12;
+  const std::vector<corpus::CorpusProgram> synthetic =
+      corpus::synthetic_suite(generator);
+  corpus::CorpusProgram div_zero;
+  div_zero.name = "div_zero";
+  div_zero.source =
+      "class Main { int main() { int d = 0; return 1 / d; } }";
+  std::vector<const corpus::CorpusProgram*> all;
+  for (std::size_t i = 0; i < synthetic.size(); ++i) {
+    if (i == synthetic.size() / 2) all.push_back(&div_zero);
+    all.push_back(&synthetic[i]);
+  }
+  const std::size_t failing = synthetic.size() / 2;
+
+  corpus::FrontendConfig config;  // sequential
+  const corpus::CorpusReport sequential = corpus::evaluate_corpus(all, config);
+  ASSERT_NE(sequential.programs[failing].error.find("division by zero"),
+            std::string::npos)
+      << sequential.programs[failing].error;
+
+  config.parallel = true;
+  for (int threads : {2, 8}) {
+    config.threads = threads;
+    std::vector<std::atomic<int>> inspected(all.size());
+    config.inspect = [&inspected](const corpus::ProgramInspection& in) {
+      inspected[in.index].fetch_add(1);
+    };
+    const corpus::CorpusReport parallel = corpus::evaluate_corpus(all, config);
+    ASSERT_EQ(parallel.programs.size(), all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const corpus::ProgramReport& p = parallel.programs[i];
+      EXPECT_EQ(p.name, all[i]->name) << "slot " << i;
+      EXPECT_EQ(p.error, sequential.programs[i].error) << p.name;
+      EXPECT_EQ(p.fingerprint, sequential.programs[i].fingerprint) << p.name;
+      EXPECT_EQ(inspected[i].load(), i == failing ? 0 : 1) << p.name;
+      if (i != failing) {
+        EXPECT_TRUE(p.error.empty()) << p.name;
+      }
+    }
+    EXPECT_EQ(parallel.fingerprint(), sequential.fingerprint())
+        << threads << " threads";
   }
 }
 
-TEST(FrontendBatching, ResolvesFromCorpusAndWorkerCount) {
+TEST(FrontendCancellation, StoppedScopeCancelsParallelFrontend) {
+  // An already-stopped ambient token (a service request past its
+  // deadline) cancels the parallel front-end as a whole: OperationCancelled
+  // at the join, not a report of per-program errors.
+  corpus::SyntheticConfig generator;
+  generator.programs = 6;
+  const std::vector<corpus::CorpusProgram> synthetic =
+      corpus::synthetic_suite(generator);
+  std::vector<const corpus::CorpusProgram*> all;
+  for (const corpus::CorpusProgram& p : synthetic) all.push_back(&p);
+
+  rt::StopSource stop;
+  stop.request_stop();
+  const rt::StopScope scope(stop.token());
   corpus::FrontendConfig config;
-  // Explicit override wins.
-  config.batch_size = 5;
-  EXPECT_EQ(corpus::resolve_batch_size(config, 1000, 8), 5);
-  // Auto: ~8 items in flight per worker, clamped to [1, 32].
-  config.batch_size = 0;
-  EXPECT_EQ(corpus::resolve_batch_size(config, 110, 8), 1);
-  EXPECT_EQ(corpus::resolve_batch_size(config, 1024, 8), 16);
-  EXPECT_EQ(corpus::resolve_batch_size(config, 1000000, 2), 32);
-  EXPECT_EQ(corpus::resolve_batch_size(config, 0, 8), 1);
+  config.parallel = true;
+  for (int threads : {1, 4}) {
+    config.threads = threads;
+    EXPECT_THROW(corpus::evaluate_corpus(all, config), rt::OperationCancelled)
+        << threads << " threads";
+  }
 }
 
 TEST(FrontendDeterminism, ParallelDetectorMatchesSequentialPerProgram) {

@@ -354,6 +354,62 @@ TEST(CertifyCorpusTest, PublishesMhpCounters) {
   observe::set_enabled(was_enabled);
 }
 
+TEST(CertifyCorpusTest, ParallelCertificationMatchesSequential) {
+  // On the parallel front-end the certifier runs in the inspect tap of
+  // concurrent whole-program tasks. The gate slice plus three racy
+  // indirect-family programs must certify exactly as sequentially.
+  const std::vector<corpus::CorpusProgram> clean =
+      corpus::synthetic_suite(gate_slice_config());
+  corpus::SyntheticConfig racy_config = gate_slice_config();
+  racy_config.programs = 3;
+  racy_config.indirect_kernels = true;
+  const std::vector<corpus::CorpusProgram> racy =
+      corpus::synthetic_suite(racy_config);
+  std::vector<const corpus::CorpusProgram*> programs;
+  for (const corpus::CorpusProgram& p : clean) programs.push_back(&p);
+  for (const corpus::CorpusProgram& p : racy) programs.push_back(&p);
+
+  const CorpusCertification sequential = certify_corpus(programs);
+  ASSERT_GT(sequential.totals.residue_raced, 0u);
+  for (int threads : {2, 8}) {
+    corpus::FrontendConfig config;
+    config.parallel = true;
+    config.threads = threads;
+    const CorpusCertification parallel = certify_corpus(programs, config);
+    ASSERT_EQ(parallel.programs.size(), sequential.programs.size());
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      const ProgramCertificate& want = sequential.programs[i];
+      const ProgramCertificate& got = parallel.programs[i];
+      SCOPED_TRACE(programs[i]->name + " at " + std::to_string(threads) +
+                   " threads");
+      EXPECT_EQ(got.program, want.program);
+      EXPECT_EQ(got.error, want.error);
+      EXPECT_EQ(got.verdict, want.verdict);
+      EXPECT_EQ(got.summary.total(), want.summary.total());
+      EXPECT_EQ(got.summary.ordered, want.summary.ordered);
+      EXPECT_EQ(got.summary.disjoint, want.summary.disjoint);
+      EXPECT_EQ(got.summary.private_or_fresh, want.summary.private_or_fresh);
+      EXPECT_EQ(got.summary.residue, want.summary.residue);
+      ASSERT_EQ(got.probes.size(), want.probes.size());
+      for (std::size_t k = 0; k < want.probes.size(); ++k) {
+        EXPECT_EQ(got.probes[k].label, want.probes[k].label);
+        EXPECT_EQ(got.probes[k].raced, want.probes[k].raced);
+      }
+    }
+    const CertificationTotals& a = parallel.totals;
+    const CertificationTotals& b = sequential.totals;
+    EXPECT_EQ(a.programs, b.programs);
+    EXPECT_EQ(a.certified_static, b.certified_static);
+    EXPECT_EQ(a.certified_explored, b.certified_explored);
+    EXPECT_EQ(a.residue_raced, b.residue_raced);
+    EXPECT_EQ(a.errors, b.errors);
+    EXPECT_EQ(a.pairs, b.pairs);
+    EXPECT_EQ(a.residue, b.residue);
+    EXPECT_EQ(a.probes, b.probes);
+    EXPECT_EQ(a.probes_raced, b.probes_raced);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Soundness differential (satellite): a pair the explorer can race must
 // never have been claimed "ordered" by the MHP analysis. Runs over a seeded
@@ -377,8 +433,8 @@ TEST(SoundnessDifferentialTest, RacedResidueNeverClaimedOrdered) {
 
     // Recompute the MHP facts the certifier used (same deterministic
     // pipeline) so probe outcomes can be checked against the relation.
-    const std::vector<RegionShape> shapes =
-        plan_region_shapes(*a.program, a.candidates, nullptr);
+    const std::vector<RegionShape> shapes = plan_region_shapes(
+        *a.program, a.model->effects(), a.candidates, nullptr);
     const analysis::MhpGraph graph = build_region_graph(shapes);
     const analysis::MhpFacts facts(graph);
 
