@@ -3,29 +3,27 @@
 // pattern detection -> scoring) by the sequential front-end and by the
 // parallel front-end running on Patty's own runtime (one parallel_for of
 // whole-program tasks, with parallel_for loop matching + master/worker
-// region scan nested inside), at 2/4/8 workers.
+// region scan nested inside), on the shared work-stealing pool.
 //
 // Dynamic analysis runs in emulated-multicore mode (work(n) sleeps instead
 // of burning CPU — DESIGN.md substitutions), so the speedup shape is
-// reproducible on hosts with fewer cores than the paper's testbed; real-CPU
-// rows at the same worker counts measure what the host actually delivers
-// (the JSON records cpu_cores so readers can interpret them). The worker
-// count is the loop's ParallelForTuning::threads, but the tasks run on the
-// shared pool (max(4, nproc) workers, plus the calling thread), so the
-// pool, not the row's count, bounds the emulated 8-worker row. A
-// large-corpus real-CPU section (default 1000 generated programs) shows how
-// the loop scales with corpus size. Every run's detection fingerprint must
-// equal the sequential one — the bench exits 2 on any divergence, making
-// each timing row also a determinism check.
+// reproducible on hosts with fewer cores than the paper's testbed; the
+// real-CPU section measures what the host actually delivers (the JSON
+// records cpu_cores so readers can interpret it). The shared pool
+// (max(4, nproc) workers, plus the calling thread) bounds the parallel
+// rows. A large-corpus real-CPU section (default 1000 generated programs)
+// shows how the loop scales with corpus size. Every run's detection
+// fingerprint must equal the sequential one — the bench exits 2 on any
+// divergence, making each timing row also a determinism check.
 //
 // Results go to stdout as a table and to BENCH_analysis.json. Flags:
 //   --short         reduced corpus, no large section (perf-smoke ctest entry)
 //   --programs N    override the study corpus size (default 110, short 20)
 //   --large N       large-corpus section size (default 1000, 0 disables)
 //   --assert-smoke  exit nonzero unless the parallel front-end holds its
-//                   bar: emulated 8-worker speedup > 1.3x always; real-CPU
-//                   8-worker > 1.0x when the host has 2+ cores, else
-//                   overhead-bounded (>= 0.75x of sequential). Best of 3.
+//                   bar: emulated speedup > 1.3x always; real-CPU > 1.0x
+//                   when the host has 2+ cores, else overhead-bounded
+//                   (> 0.70x of sequential). Best of 3.
 
 #include <cstdint>
 #include <cstdio>
@@ -47,14 +45,12 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct Row {
-  int threads = 0;     // 0 = sequential front-end
-  double seconds = 0;
-  double speedup = 1;  // vs the sequential row of the same mode
-};
-
+/// One section: the sequential front-end and the parallel one over the
+/// same corpus.
 struct ModeResult {
-  std::vector<Row> rows;
+  double sequential_s = 0;
+  double parallel_s = 0;
+  double speedup = 1;  // sequential_s / parallel_s
   patty::corpus::DetectionScore total;
 };
 
@@ -74,9 +70,9 @@ double run_once(const std::vector<const patty::corpus::CorpusProgram*>& corpus,
     *reference = fp;
   } else if (fp != *reference) {
     std::fprintf(stderr,
-                 "DETERMINISM VIOLATION: %s front-end (%d threads) diverged "
-                 "from the sequential detection output\n",
-                 config.parallel ? "parallel" : "sequential", config.threads);
+                 "DETERMINISM VIOLATION: %s front-end diverged from the "
+                 "sequential detection output\n",
+                 config.parallel ? "parallel" : "sequential");
     std::exit(2);
   }
   if (total_out) *total_out = report.total;
@@ -86,7 +82,6 @@ double run_once(const std::vector<const patty::corpus::CorpusProgram*>& corpus,
 ModeResult run_mode(const std::vector<const patty::corpus::CorpusProgram*>&
                         corpus,
                     bool work_sleeps, std::uint64_t work_sleep_ns,
-                    const std::vector<int>& thread_counts,
                     std::string* reference) {
   ModeResult result;
   patty::corpus::FrontendConfig config;
@@ -94,36 +89,24 @@ ModeResult run_mode(const std::vector<const patty::corpus::CorpusProgram*>&
   config.work_sleep_ns = work_sleep_ns;
 
   config.parallel = false;
-  Row seq;
-  seq.threads = 0;
-  seq.seconds = run_once(corpus, config, reference, &result.total);
-  result.rows.push_back(seq);
-  std::printf("  sequential      : %7.3fs\n", seq.seconds);
+  result.sequential_s = run_once(corpus, config, reference, &result.total);
+  std::printf("  sequential : %7.3fs\n", result.sequential_s);
 
-  for (int threads : thread_counts) {
-    config.parallel = true;
-    config.threads = threads;
-    Row row;
-    row.threads = threads;
-    row.seconds = run_once(corpus, config, reference, nullptr);
-    row.speedup = seq.seconds / row.seconds;
-    result.rows.push_back(row);
-    std::printf("  parallel x%-2d    : %7.3fs  (%.2fx)\n", threads,
-                row.seconds, row.speedup);
-  }
+  config.parallel = true;
+  result.parallel_s = run_once(corpus, config, reference, nullptr);
+  result.speedup = result.sequential_s / result.parallel_s;
+  std::printf("  parallel   : %7.3fs  (%.2fx)\n", result.parallel_s,
+              result.speedup);
   return result;
 }
 
-void append_rows_json(std::string* json, const std::vector<Row>& rows) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "      {\"threads\": %d, \"seconds\": %.4f, "
-                  "\"speedup\": %.3f}%s\n",
-                  rows[i].threads, rows[i].seconds, rows[i].speedup,
-                  i + 1 < rows.size() ? "," : "");
-    *json += buf;
-  }
+void append_mode_json(std::string* json, const ModeResult& mode) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "    \"sequential_s\": %.4f, \"parallel_s\": %.4f, "
+                "\"speedup\": %.3f\n",
+                mode.sequential_s, mode.parallel_s, mode.speedup);
+  *json += buf;
 }
 
 std::vector<const patty::corpus::CorpusProgram*> to_pointers(
@@ -140,20 +123,19 @@ std::vector<const patty::corpus::CorpusProgram*> to_pointers(
   return corpus;
 }
 
-/// Best speedup of the last row across up to `attempts` re-measurements
+/// Best parallel speedup across up to `attempts` re-measurements
 /// (relative-timing assertions flake on loaded machines; a real regression
 /// loses every attempt, noise loses at most one or two).
 double best_of(const std::vector<const patty::corpus::CorpusProgram*>& corpus,
-               bool work_sleeps, std::uint64_t work_sleep_ns, int threads,
-               double first, double bar, int attempts) {
+               bool work_sleeps, std::uint64_t work_sleep_ns, double first,
+               double bar, int attempts) {
   double best = first;
   for (int attempt = 1; attempt < attempts && best <= bar; ++attempt) {
     std::string fp;  // fresh reference, still checks determinism per pair
-    std::printf("smoke retry %d (%s, x%d):\n", attempt,
-                work_sleeps ? "emulated" : "real", threads);
-    const ModeResult retry =
-        run_mode(corpus, work_sleeps, work_sleep_ns, {threads}, &fp);
-    if (retry.rows.back().speedup > best) best = retry.rows.back().speedup;
+    std::printf("smoke retry %d (%s):\n", attempt,
+                work_sleeps ? "emulated" : "real");
+    const ModeResult retry = run_mode(corpus, work_sleeps, work_sleep_ns, &fp);
+    if (retry.speedup > best) best = retry.speedup;
   }
   return best;
 }
@@ -196,18 +178,16 @@ int main(int argc, char** argv) {
   // way it would across real cores. 60us makes sleep time dominate each
   // program's few ms of real CPU (parse/detect/interpreter bookkeeping).
   const std::uint64_t sleep_ns = 60'000;
-  const std::vector<int> thread_counts = {2, 4, 8};
 
   std::string fingerprint;  // sequential emulated run seeds the reference
   std::printf("\n== emulated multicore (work sleeps %lluus/unit) ==\n",
               static_cast<unsigned long long>(sleep_ns / 1000));
   const ModeResult emulated =
-      run_mode(corpus, /*work_sleeps=*/true, sleep_ns, thread_counts,
-               &fingerprint);
+      run_mode(corpus, /*work_sleeps=*/true, sleep_ns, &fingerprint);
 
   std::printf("\n== real CPU (work burns, host-bound) ==\n");
   const ModeResult real =
-      run_mode(corpus, /*work_sleeps=*/false, 0, thread_counts, &fingerprint);
+      run_mode(corpus, /*work_sleeps=*/false, 0, &fingerprint);
 
   // Large corpus: generated with the same config knobs at 1000 programs.
   // Real CPU only — emulated sleeps would mask the scaling limits this
@@ -224,8 +204,7 @@ int main(int argc, char** argv) {
     std::printf("\n== large corpus, real CPU (%zu programs, %zu LoC) ==\n",
                 large_corpus.size(), large_loc);
     std::string large_fp;  // own reference: different corpus
-    large = run_mode(large_corpus, /*work_sleeps=*/false, 0, {2, 8},
-                     &large_fp);
+    large = run_mode(large_corpus, /*work_sleeps=*/false, 0, &large_fp);
   }
 
   // MHP certification coverage over the study corpus: how much of the
@@ -272,9 +251,6 @@ int main(int argc, char** argv) {
               s.precision(), s.recall(), s.true_positives, s.false_positives,
               s.false_negatives, s.true_negatives);
 
-  const double speedup8 = emulated.rows.back().speedup;
-  const double real8 = real.rows.back().speedup;
-
   std::string json = "{\n";
   json += std::string("  \"mode\": \"") + (short_mode ? "short" : "full") +
           "\",\n";
@@ -312,33 +288,31 @@ int main(int argc, char** argv) {
     json += buf;
   }
   json += "  \"emulated\": {\n    \"work_sleep_us\": " +
-          std::to_string(sleep_ns / 1000) + ",\n    \"rows\": [\n";
-  append_rows_json(&json, emulated.rows);
-  json += "    ]\n  },\n  \"real\": {\n    \"rows\": [\n";
-  append_rows_json(&json, real.rows);
-  json += "    ]\n  }";
+          std::to_string(sleep_ns / 1000) + ",\n";
+  append_mode_json(&json, emulated);
+  json += "  },\n  \"real\": {\n";
+  append_mode_json(&json, real);
+  json += "  }";
   if (large_programs > 0) {
     json += ",\n  \"large\": {\n    \"programs\": " +
             std::to_string(large_programs) +
-            ",\n    \"loc\": " + std::to_string(large_loc) +
-            ",\n    \"rows\": [\n";
-    append_rows_json(&json, large.rows);
-    json += "    ]\n  }";
+            ",\n    \"loc\": " + std::to_string(large_loc) + ",\n";
+    append_mode_json(&json, large);
+    json += "  }";
   }
   json += "\n}\n";
   if (std::FILE* f = std::fopen("BENCH_analysis.json", "w")) {
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
-    std::printf("wrote BENCH_analysis.json (8-thread emulated %.2fx, "
-                "real %.2fx)\n",
-                speedup8, real8);
+    std::printf("wrote BENCH_analysis.json (emulated %.2fx, real %.2fx)\n",
+                emulated.speedup, real.speedup);
   }
 
   if (assert_smoke) {
     // Emulated bar: parallelism must actually overlap the sleeping dynamic
     // analysis regardless of host cores.
     const double best_emulated = best_of(corpus, /*work_sleeps=*/true,
-                                         sleep_ns, 8, speedup8, 1.3, 3);
+                                         sleep_ns, emulated.speedup, 1.3, 3);
     if (best_emulated <= 1.3) {
       std::fprintf(stderr,
                    "perf-smoke FAILED: parallel front-end did not reach "
@@ -352,11 +326,11 @@ int main(int argc, char** argv) {
     // so the bar is bounded overhead — threading must not cost more than a
     // third of the sequential wall.
     const double real_bar = cpu_cores >= 2 ? 1.0 : 0.70;
-    const double best_real = best_of(corpus, /*work_sleeps=*/false, 0, 8,
-                                     real8, real_bar, 3);
+    const double best_real = best_of(corpus, /*work_sleeps=*/false, 0,
+                                     real.speedup, real_bar, 3);
     if (best_real <= real_bar) {
       std::fprintf(stderr,
-                   "perf-smoke FAILED: real-CPU 8-worker front-end below "
+                   "perf-smoke FAILED: real-CPU parallel front-end below "
                    "the %s bar of %.2fx in all of 3 runs (best %.2fx, "
                    "%d cores)\n",
                    cpu_cores >= 2 ? "speedup" : "overhead", real_bar,

@@ -3,10 +3,10 @@
 //   1. Fine-grained task throughput: a binary spawn tree of empty-body tasks
 //      run on the work-stealing pool and on a faithful replica of the old
 //      central-queue pool (one mutex + deque + condvar notify per submit).
-//   2. Stage-queue ops/sec per backend (locking BoundedQueue, SPSC ring,
-//      MPMC ring) across producer/consumer topologies, single and batched.
-//   3. End-to-end pipeline items/sec as a function of per-item stage cost,
-//      queue backend, and BatchSize.
+//   2. Stage-queue ops/sec per ring (SPSC, MPMC) across producer/consumer
+//      topologies, single and batched.
+//   3. End-to-end pipeline items/sec as a function of per-item stage cost
+//      and BatchSize.
 //   4. Failpoint-site overhead: a tight integer loop with a disarmed
 //      PATTY_FAILPOINT in the body vs. the same loop without one. The
 //      macro is a single relaxed load when no site is armed; the smoke
@@ -214,10 +214,9 @@ struct QueueResult {
   double items_per_sec = 0;
 };
 
-QueueResult run_queue_bench(QueueBackend forced, std::size_t producers,
-                            std::size_t consumers, std::size_t batch,
-                            std::int64_t total_items) {
-  auto q = make_stage_queue<std::int64_t>(1024, producers, consumers, forced);
+QueueResult run_queue_bench(std::size_t producers, std::size_t consumers,
+                            std::size_t batch, std::int64_t total_items) {
+  auto q = make_stage_queue<std::int64_t>(1024, producers, consumers);
   QueueResult r;
   r.backend = q->backend();
   r.producers = producers;
@@ -283,7 +282,6 @@ std::uint64_t spin_work(std::uint64_t x, int iters) {
 }
 
 struct PipelineResult {
-  std::string backend;
   std::size_t batch = 0;
   int spin = 0;  // LCG iterations per stage per item
   std::int64_t items = 0;
@@ -291,15 +289,14 @@ struct PipelineResult {
   double items_per_sec = 0;
 };
 
-PipelineResult run_pipeline_bench(QueueBackend backend, std::size_t batch,
-                                  int spin, std::int64_t total_items) {
+PipelineResult run_pipeline_bench(std::size_t batch, int spin,
+                                  std::int64_t total_items) {
   struct Elem {
     std::uint64_t v;
   };
   PipelineConfig cfg;
   cfg.buffer_capacity = 256;
   cfg.batch_size = batch;
-  cfg.queue_backend = backend;
   cfg.name = "bench.runtime_throughput";
   std::vector<typename Pipeline<Elem>::Stage> stages;
   stages.push_back({"scale", [spin](Elem& e) { e.v = spin_work(e.v, spin); },
@@ -320,7 +317,6 @@ PipelineResult run_pipeline_bench(QueueBackend backend, std::size_t batch,
       },
       [&](Elem&& e) { sink_acc ^= e.v; });
   PipelineResult r;
-  r.backend = backend == QueueBackend::Locking ? "locking" : "auto";
   r.batch = batch;
   r.spin = spin;
   r.items = total_items;
@@ -413,19 +409,15 @@ int main(int argc, char** argv) {
   std::printf("\n== stage-queue throughput (%lld items, capacity 1024) ==\n",
               static_cast<long long>(queue_n));
   struct QueueCase {
-    QueueBackend backend;
     std::size_t producers, consumers, batch;
   };
   const QueueCase cases[] = {
-      {QueueBackend::Locking, 1, 1, 1},  {QueueBackend::Auto, 1, 1, 1},
-      {QueueBackend::Auto, 1, 1, 16},    {QueueBackend::Locking, 2, 2, 1},
-      {QueueBackend::Auto, 2, 2, 1},     {QueueBackend::Auto, 2, 2, 16},
-      {QueueBackend::Auto, 1, 3, 1},
+      {1, 1, 1}, {1, 1, 16}, {2, 2, 1}, {2, 2, 16}, {1, 3, 1},
   };
   std::vector<QueueResult> queue_results;
   for (const QueueCase& c : cases) {
     queue_results.push_back(
-        run_queue_bench(c.backend, c.producers, c.consumers, c.batch, queue_n));
+        run_queue_bench(c.producers, c.consumers, c.batch, queue_n));
     const QueueResult& r = queue_results.back();
     std::printf("  %-7s %zup%zuc batch=%-2zu : %9.0f items/s\n",
                 r.backend.c_str(), r.producers, r.consumers, r.batch,
@@ -436,22 +428,16 @@ int main(int argc, char** argv) {
               "items) ==\n",
               static_cast<long long>(pipe_n));
   struct PipeCase {
-    QueueBackend backend;
     std::size_t batch;
     int spin;
   };
-  const PipeCase pipe_cases[] = {
-      {QueueBackend::Locking, 1, 0}, {QueueBackend::Auto, 1, 0},
-      {QueueBackend::Auto, 8, 0},    {QueueBackend::Locking, 1, 200},
-      {QueueBackend::Auto, 1, 200},  {QueueBackend::Auto, 8, 200},
-  };
+  const PipeCase pipe_cases[] = {{1, 0}, {8, 0}, {1, 200}, {8, 200}};
   std::vector<PipelineResult> pipe_results;
   for (const PipeCase& c : pipe_cases) {
-    pipe_results.push_back(
-        run_pipeline_bench(c.backend, c.batch, c.spin, pipe_n));
+    pipe_results.push_back(run_pipeline_bench(c.batch, c.spin, pipe_n));
     const PipelineResult& r = pipe_results.back();
-    std::printf("  %-7s batch=%-2zu spin=%-4d : %9.0f items/s\n",
-                r.backend.c_str(), r.batch, r.spin, r.items_per_sec);
+    std::printf("  batch=%-2zu spin=%-4d : %9.0f items/s\n", r.batch, r.spin,
+                r.items_per_sec);
   }
 
   std::printf("\n== disarmed failpoint overhead (%lld xorshift iterations) "
@@ -491,9 +477,8 @@ int main(int argc, char** argv) {
   json += "  ],\n  \"pipeline\": [\n";
   for (std::size_t i = 0; i < pipe_results.size(); ++i) {
     const PipelineResult& r = pipe_results[i];
-    json += "    {\"backend\": \"" + r.backend + "\", \"batch\": " +
-            std::to_string(r.batch) + ", \"spin\": " + std::to_string(r.spin) +
-            ", ";
+    json += "    {\"batch\": " + std::to_string(r.batch) +
+            ", \"spin\": " + std::to_string(r.spin) + ", ";
     append_json_number(&json, "items_per_sec", r.items_per_sec);
     json += i + 1 < pipe_results.size() ? "},\n" : "}\n";
   }

@@ -1,5 +1,6 @@
 #include "analysis/interpreter.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -22,6 +23,29 @@ std::uint64_t burn_work(std::uint64_t iterations) {
   }
   return acc;
 }
+
+namespace {
+
+/// Emulated work: sleeps `ns` in slices of at most 1 ms against one absolute
+/// end time, checking the ambient stop token between slices, so a deadline
+/// interrupts a long sleep. A sleep of at most 1 ms stays one call.
+void sleep_work(std::uint64_t ns) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::chrono::nanoseconds kSlice = std::chrono::milliseconds(1);
+  const std::chrono::nanoseconds total(ns);
+  if (total <= kSlice) {
+    std::this_thread::sleep_for(total);
+    return;
+  }
+  const rt::StopToken stop = rt::current_stop_token();
+  const Clock::time_point end = Clock::now() + total;
+  for (Clock::time_point now = Clock::now(); now < end; now = Clock::now()) {
+    std::this_thread::sleep_until(std::min(end, now + kSlice));
+    if (stop.stop_requested()) throw rt::OperationCancelled("work()");
+  }
+}
+
+}  // namespace
 
 thread_local const lang::Stmt* Interpreter::current_stmt_ = nullptr;
 
@@ -513,8 +537,7 @@ Value Interpreter::eval_builtin(const lang::Call& c, Frame& frame) {
       const std::int64_t n = arg(0).as_int();
       if (n < 0) error(c.range, "work() with negative cost");
       if (options_.work_sleeps) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds(
-            static_cast<std::uint64_t>(n) * options_.work_sleep_ns));
+        sleep_work(static_cast<std::uint64_t>(n) * options_.work_sleep_ns);
       } else {
         burn_work(static_cast<std::uint64_t>(n) * options_.work_scale);
       }

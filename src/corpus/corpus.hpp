@@ -128,11 +128,6 @@ struct FrontendConfig {
   /// two modes produce byte-identical reports (the determinism suite
   /// asserts this).
   bool parallel = false;
-  /// The loop's ParallelForTuning::threads: <= 1 runs the parallel mode
-  /// inline on the caller; the shared pool's size bounds concurrency. 0
-  /// resolves through frontend_threads() (PATTY_FRONTEND_THREADS env var,
-  /// else hardware).
-  int threads = 0;
   /// Detection mode (the paper's optimistic default vs static baseline).
   bool optimistic = true;
   /// Forwarded to the interpreter for the dynamic-analysis run: emulated
@@ -206,10 +201,6 @@ struct CorpusReport {
   /// detected exactly the same candidates everywhere.
   [[nodiscard]] std::string fingerprint() const;
 };
-
-/// Resolve the front-end worker count: `requested` if positive, else the
-/// PATTY_FRONTEND_THREADS environment variable, else hardware concurrency.
-int frontend_threads(int requested = 0);
 
 /// Evaluate a corpus through the detection front-end (see FrontendConfig
 /// for the sequential/parallel contract).

@@ -1,6 +1,4 @@
-#include <cstdlib>
 #include <set>
-#include <thread>
 
 #include "analysis/semantic_model.hpp"
 #include "corpus/corpus.hpp"
@@ -155,16 +153,6 @@ DetectionScore score_program(const CorpusProgram& program, bool optimistic,
   return score_detection(program, item.detection);
 }
 
-int frontend_threads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("PATTY_FRONTEND_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 std::string CorpusReport::fingerprint() const {
   std::string fp;
   for (const ProgramReport& p : programs) {
@@ -193,7 +181,6 @@ CorpusReport evaluate_corpus(
     // concurrently. Nested loops in the model build and detect_all join
     // helpingly on the same pool.
     rt::ParallelForTuning tuning;
-    tuning.threads = frontend_threads(config.threads);
     tuning.grain = 1;
     rt::parallel_for(
         0, static_cast<std::int64_t>(programs.size()),

@@ -14,32 +14,6 @@ StopScope::StopScope(StopToken token) : previous_(t_ambient_token) {
 
 StopScope::~StopScope() { t_ambient_token = previous_; }
 
-Watchdog::Watchdog(std::chrono::milliseconds deadline,
-                   std::function<void()> on_expire) {
-  thread_ = std::thread([this, deadline, fn = std::move(on_expire)] {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (cv_.wait_for(lock, deadline, [this] { return disarmed_; })) return;
-    // Expired. Mark fired before invoking so the owner's post-join check
-    // sees it even if fn itself is what unblocks the join.
-    fired_.store(true, std::memory_order_release);
-    lock.unlock();
-    fn();
-  });
-}
-
-Watchdog::~Watchdog() {
-  disarm();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Watchdog::disarm() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    disarmed_ = true;
-  }
-  cv_.notify_all();
-}
-
 DeadlineScheduler& DeadlineScheduler::global() {
   static DeadlineScheduler* s = new DeadlineScheduler();  // immortal
   return *s;

@@ -8,11 +8,13 @@
 // exception. Cancellation is purely cooperative — nothing is killed — so a
 // task already inside user code finishes (or throws) on its own.
 //
-// StopSource/StopToken also nest: a region installs its token as the
-// thread-ambient token (StopScope) before running user code, so a nested
-// region started from inside a task inherits its parent's cancellation and
-// stops when the parent does. Deadlines reuse the same mechanism via
-// Watchdog, which requests stop when a wall-clock budget expires.
+// Each region has exactly one stop signal: a StopSource whose parent is the
+// enclosing region's token (the thread-ambient token, installed by
+// StopScope around user code). A source reports stop once it or any
+// ancestor has stopped, so a stop flows down arbitrarily deep nesting and a
+// region polls only its own source. Deadlines are stops too: a
+// ScopedDeadline on the shared DeadlineScheduler thread requests stop on
+// the region's source when its budget expires.
 
 #include <atomic>
 #include <chrono>
@@ -30,7 +32,7 @@
 namespace patty::rt {
 
 /// Thrown at a region's join point when the region was cancelled (deadline
-/// or inherited stop) without any task of its own throwing.
+/// or enclosing stop) without any task of its own throwing.
 class OperationCancelled : public std::runtime_error {
  public:
   explicit OperationCancelled(const std::string& region)
@@ -40,6 +42,15 @@ class OperationCancelled : public std::runtime_error {
 namespace detail {
 struct StopState {
   std::atomic<bool> stop{false};
+  std::shared_ptr<const StopState> parent;  // enclosing region, or null
+
+  /// This state or any ancestor stopped. One load per nesting level; a
+  /// top-level region pays a single load.
+  [[nodiscard]] bool stopped() const {
+    for (const StopState* s = this; s != nullptr; s = s->parent.get())
+      if (s->stop.load(std::memory_order_acquire)) return true;
+    return false;
+  }
 };
 }  // namespace detail
 
@@ -52,33 +63,37 @@ class StopToken {
   StopToken() = default;
   [[nodiscard]] bool stop_possible() const { return state_ != nullptr; }
   [[nodiscard]] bool stop_requested() const {
-    return state_ && state_->stop.load(std::memory_order_acquire);
+    return state_ && state_->stopped();
   }
 
  private:
   friend class StopSource;
-  explicit StopToken(std::shared_ptr<detail::StopState> state)
+  explicit StopToken(std::shared_ptr<const detail::StopState> state)
       : state_(std::move(state)) {}
-  std::shared_ptr<detail::StopState> state_;
+  std::shared_ptr<const detail::StopState> state_;
 };
 
-/// Owner end: request_stop() flips the shared flag exactly once.
+/// Owner end: request_stop() flips this source's flag. A source built with
+/// a parent token also reports stop once the parent (or any ancestor) has
+/// stopped; stopping a child never stops its parent.
 class StopSource {
  public:
-  StopSource() : state_(std::make_shared<detail::StopState>()) {}
+  StopSource() : StopSource(StopToken()) {}
+  explicit StopSource(const StopToken& parent)
+      : state_(std::make_shared<detail::StopState>()) {
+    state_->parent = parent.state_;
+  }
   [[nodiscard]] StopToken token() const { return StopToken(state_); }
   void request_stop() { state_->stop.store(true, std::memory_order_release); }
-  [[nodiscard]] bool stop_requested() const {
-    return state_->stop.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool stop_requested() const { return state_->stopped(); }
 
  private:
   std::shared_ptr<detail::StopState> state_;
 };
 
-/// The calling thread's inherited cancellation token. Empty (never stops)
+/// The calling thread's ambient cancellation token. Empty (never stops)
 /// outside any region; inside a region's task it is the region's token, so
-/// nested regions chain their cancellation to the enclosing one.
+/// a nested region passes it as its own source's parent.
 [[nodiscard]] StopToken current_stop_token();
 
 /// RAII: installs `token` as the thread-ambient token, restoring the
@@ -128,43 +143,11 @@ class ExceptionSlot {
   std::exception_ptr error_;
 };
 
-/// Wall-clock deadline for a region or tuner candidate: fires `on_expire`
-/// from a dedicated thread once `deadline` elapses, unless disarmed first.
-/// The destructor disarms and joins, so `on_expire` never outlives the
-/// objects it captures as long as the Watchdog is declared after them.
-///
-/// Watchdog spends one thread per instance — fine for the handful of
-/// long-lived region/tuner deadlines it was built for, wrong for the
-/// many-concurrent-requests regime (a daemon with 100 in-flight deadlined
-/// requests must not run 100 timer threads). That regime routes through
-/// DeadlineScheduler below instead.
-class Watchdog {
- public:
-  Watchdog(std::chrono::milliseconds deadline, std::function<void()> on_expire);
-  ~Watchdog();
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Cancel the deadline (idempotent). Returns without waiting.
-  void disarm();
-  /// True once on_expire has been invoked.
-  [[nodiscard]] bool fired() const {
-    return fired_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool disarmed_ = false;
-  std::atomic<bool> fired_{false};
-  std::thread thread_;
-};
-
 /// Shared deadline thread: any number of concurrent deadlines, one timer
 /// thread for the whole process. Entries are kept in a time-ordered map;
 /// the thread sleeps until the earliest expiry, fires its callback, and
-/// moves on. This is the scheduler the service layer arms one entry per
-/// in-flight request on — 100 concurrent deadlined requests cost 100 map
+/// moves on. Region deadlines, tuner candidate deadlines and service
+/// requests all arm entries here — 100 concurrent deadlines cost 100 map
 /// nodes, not 100 threads (tests/service_test.cpp pins that bound).
 ///
 /// Callback contract: `on_expire` runs on the scheduler thread, must not

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <string>
-
 #include <thread>
 
 #include "observe/metrics.hpp"
@@ -63,14 +62,16 @@ void MasterWorker::run(const std::vector<std::function<void()>>& tasks) const {
     m.tasks.add(tasks.size());
     m.queue_depth.set(static_cast<std::int64_t>(tasks.size()));
   }
-  const StopToken inherited = current_stop_token();
+  // The run's one stop signal, chained to the enclosing region and
+  // installed as the ambient token around every task so nested regions
+  // chain to it in turn. A task fault stops it too.
+  StopSource stop(current_stop_token());
   if (tasks.size() == 1 || workers_ == 1) {
     // Inline: exceptions already reach the caller directly; just honour
-    // inherited cancellation between tasks and count the fault.
+    // the enclosing stop between tasks and count the fault.
     try {
       for (const auto& t : tasks) {
-        if (inherited.stop_requested())
-          throw OperationCancelled("master_worker");
+        if (stop.stop_requested()) throw OperationCancelled("master_worker");
         run_task(t, telemetry);
       }
     } catch (...) {
@@ -79,9 +80,6 @@ void MasterWorker::run(const std::vector<std::function<void()>>& tasks) const {
     }
     return;
   }
-  // This run's own StopSource, installed as the ambient token around every
-  // task so nested regions chain their cancellation to this one.
-  StopSource stop;
   if (workers_ == 0) {
     // Shared pool: no thread creation cost; the common configuration.
     // submit_fast with a by-reference capture: the tasks vector outlives
@@ -91,34 +89,32 @@ void MasterWorker::run(const std::vector<std::function<void()>>& tasks) const {
     TaskGroup group;
     group.add(tasks.size());
     for (const auto& t : tasks) {
-      ThreadPool::shared().submit_fast(
-          [&group, &stop, &t, inherited, telemetry] {
-            // finish() on every path: a fault must not strand the joiner.
-            if (!group.cancelled() && !inherited.stop_requested()) {
-              StopScope ambient(stop.token());
-              try {
-                run_task(t, telemetry);
-              } catch (...) {
-                group.capture_exception();
-                stop.request_stop();
-              }
-            }
-            group.finish();
-          });
+      ThreadPool::shared().submit_fast([&group, &stop, &t, telemetry] {
+        // finish() on every path: a fault must not strand the joiner.
+        if (!stop.stop_requested()) {
+          StopScope ambient(stop.token());
+          try {
+            run_task(t, telemetry);
+          } catch (...) {
+            group.capture_exception();
+            stop.request_stop();
+          }
+        }
+        group.finish();
+      });
     }
     ThreadPool::shared().wait_on(group);
     if (group.faulted()) {
       if (telemetry) mw_metrics().faults.add();
       group.rethrow_if_faulted();
     }
-    if (inherited.stop_requested()) throw OperationCancelled("master_worker");
+    if (stop.stop_requested()) throw OperationCancelled("master_worker");
     return;
   }
   // Dedicated crew: `workers_` threads pull tasks by index. The crew has
-  // its own fault domain (slot + cancel flag) since no TaskGroup is
-  // involved; same first-thrower-wins / siblings-unwind protocol.
+  // its own exception slot since no TaskGroup is involved; same
+  // first-thrower-wins / siblings-unwind protocol.
   ExceptionSlot slot;
-  std::atomic<bool> cancelled{false};
   std::atomic<std::size_t> next{0};
   const std::size_t crew =
       std::min(static_cast<std::size_t>(workers_), tasks.size());
@@ -127,17 +123,13 @@ void MasterWorker::run(const std::vector<std::function<void()>>& tasks) const {
   for (std::size_t w = 0; w < crew; ++w) {
     threads.emplace_back([&] {
       StopScope ambient(stop.token());
-      while (true) {
-        if (cancelled.load(std::memory_order_acquire) ||
-            inherited.stop_requested())
-          return;
+      while (!stop.stop_requested()) {
         const std::size_t i = next.fetch_add(1);
         if (i >= tasks.size()) return;
         try {
           run_task(tasks[i], telemetry);
         } catch (...) {
           slot.capture_current();
-          cancelled.store(true, std::memory_order_release);
           stop.request_stop();
           return;
         }
@@ -149,7 +141,7 @@ void MasterWorker::run(const std::vector<std::function<void()>>& tasks) const {
     if (telemetry) mw_metrics().faults.add();
     slot.rethrow_if_set();
   }
-  if (inherited.stop_requested()) throw OperationCancelled("master_worker");
+  if (stop.stop_requested()) throw OperationCancelled("master_worker");
 }
 
 }  // namespace patty::rt

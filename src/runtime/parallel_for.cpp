@@ -62,9 +62,10 @@ std::int64_t effective_grain(std::int64_t range,
 /// Shared state of one splitting loop. Chunks run through the function
 /// pointer; telemetry mirrors the old static-chunking implementation. The
 /// group is the loop's fault domain: the first leaf to throw claims its
-/// exception slot and cancels the siblings; `stop` is this loop's own
-/// StopSource, installed as the ambient token around each leaf so nested
-/// regions started from the body chain their cancellation to this one.
+/// exception slot and stops the loop. `stop` is the loop's one stop signal:
+/// chained to the enclosing region's token, stopped by a fault or the
+/// deadline, and installed as the ambient token around each leaf so nested
+/// regions started from the body chain to it in turn.
 struct SplitCtx {
   detail::ChunkInvoker invoke;
   void* ctx;
@@ -72,15 +73,10 @@ struct SplitCtx {
   bool telemetry;
   TaskGroup group;
   StopSource stop;
-  StopToken inherited;  // enclosing region's token at driver entry
 
   /// Cooperative cancellation check, polled between splits and before each
-  /// leaf. An inherited (parent-region) stop is folded into this loop's own
-  /// source so nested regions under *us* stop too.
-  bool cancelled() {
-    if (inherited.stop_requested()) stop.request_stop();
-    return group.cancelled() || stop.stop_requested();
-  }
+  /// leaf.
+  [[nodiscard]] bool cancelled() const { return stop.stop_requested(); }
 
   void run_leaf(std::int64_t lo, std::int64_t hi) {
     if (cancelled()) return;
@@ -153,15 +149,11 @@ void parallel_for_driver(std::int64_t begin, std::int64_t end,
   span.set_detail("range=" + std::to_string(range) +
                   " grain=" + std::to_string(grain) +
                   " threads=" + std::to_string(threads));
-  SplitCtx c{invoke, ctx, grain, telemetry, {}, {}, current_stop_token()};
-  // Declared after c: the destructor joins the deadline thread before c (and
-  // the group it cancels) leaves scope.
-  std::optional<Watchdog> watchdog;
+  SplitCtx c{invoke, ctx, grain, telemetry, {},
+             StopSource(current_stop_token())};
+  std::optional<ScopedDeadline> deadline;
   if (tuning.deadline_ms > 0)
-    watchdog.emplace(std::chrono::milliseconds(tuning.deadline_ms), [&c] {
-      c.stop.request_stop();
-      c.group.cancel();
-    });
+    deadline.emplace(c.stop, std::chrono::milliseconds(tuning.deadline_ms));
   // The caller participates: it keeps splitting left halves and runs leaves
   // itself while pool workers steal and process the spawned right halves.
   // The helping join makes this safe from inside a pool task too — a worker
@@ -169,15 +161,10 @@ void parallel_for_driver(std::int64_t begin, std::int64_t end,
   // first, LIFO) instead of blocking pool capacity: inline-or-stolen.
   run_range(c, begin, end);
   ThreadPool::shared().wait_on(c.group);
-  if (watchdog) watchdog->disarm();
-  const bool expired = watchdog && watchdog->fired();
-  if (!c.group.faulted() && !expired) {
-    // Inherited cancellation that arrived mid-loop: surface it even though
-    // no task of ours threw, so the enclosing region unwinds promptly.
-    if (c.inherited.stop_requested())
-      throw OperationCancelled("parallel_for");
-    return;
-  }
+  if (!c.stop.stop_requested()) return;
+  const bool expired = deadline && deadline->expired();
+  // Neither our fault nor our deadline: the enclosing region stopped.
+  if (!c.group.faulted() && !expired) throw OperationCancelled("parallel_for");
   if (telemetry) {
     loop_metrics().faults.add();
     if (expired)
@@ -185,7 +172,7 @@ void parallel_for_driver(std::int64_t begin, std::int64_t end,
           .counter("fault.deadline_cancellations")
           .add();
   }
-  if (tuning.fallback_sequential && !c.inherited.stop_requested()) {
+  if (tuning.fallback_sequential && !current_stop_token().stop_requested()) {
     // Graceful degradation: the paper's SequentialExecution escape hatch,
     // applied after the fact. Safe for idempotent bodies only (each
     // iteration writes its own output), which is what the detector emits.

@@ -43,10 +43,6 @@ struct PipelineConfig {
   /// amortizes queue overhead on fine-grained streams at the cost of some
   /// pipelining latency. 1 (the default) reproduces item-at-a-time behavior.
   std::size_t batch_size = 1;
-  /// Stage-queue implementation. Auto picks the SPSC ring for unreplicated
-  /// edges and the MPMC ring for replicated neighbours; Locking forces the
-  /// legacy mutex-based BoundedQueue.
-  QueueBackend queue_backend = QueueBackend::Auto;
   /// Name under which telemetry-enabled runs publish their per-stage
   /// observation (observe::recent_pipelines) and trace spans.
   std::string name = "pipeline";
@@ -56,9 +52,9 @@ struct PipelineConfig {
   /// input is copied up front so a partially-consumed source can be
   /// replayed; stage fns must be idempotent per element.
   bool fallback_sequential = false;
-  /// 0 = no deadline; otherwise the run is cancelled (queues poisoned,
-  /// workers unwound) after this many ms and run() throws
-  /// OperationCancelled — or run_over falls back when enabled.
+  /// 0 = no deadline; otherwise the run is stopped after this many ms (every
+  /// queue closed, workers unwound) and run() throws OperationCancelled — or
+  /// run_over falls back when enabled.
   std::int64_t deadline_ms = 0;
 };
 
@@ -124,13 +120,13 @@ class Pipeline {
 
     if (config_.sequential) {
       stats.threads_used = 0;
-      const StopToken inherited = current_stop_token();
+      const StopToken enclosing = current_stop_token();
       std::vector<std::unique_ptr<StageTelemetry>> telem;
       if (telemetry)
         for (std::size_t i = 0; i < effective_.size(); ++i)
           telem.push_back(std::make_unique<StageTelemetry>());
       while (std::optional<T> item = source()) {
-        if (inherited.stop_requested())
+        if (enclosing.stop_requested())
           throw OperationCancelled(config_.name);
         if (!telemetry) {
           for (const Stage& s : effective_) s.fn(*item);
@@ -156,12 +152,17 @@ class Pipeline {
 
     const std::size_t n_stages = effective_.size();
     // One fault domain per run: the first thread (worker, generator, or
-    // sink) to catch an exception claims ctl.slot, requests stop, and
-    // poisons every queue so peers blocked on a dead neighbour wake and
-    // unwind; run() rethrows the captured exception after the joins.
-    RunControl ctl;
-    ctl.inherited = current_stop_token();
-    // queues[i] feeds stage i; queues[n_stages] feeds the sink. Backend per
+    // sink) to catch an exception claims ctl.slot and stops the run. Any
+    // thread that leaves its loop on a stop — fault, deadline or enclosing
+    // region — poisons every queue so peers blocked on a dead neighbour
+    // wake and unwind; run() rethrows the captured exception after the
+    // joins.
+    RunControl ctl{StopSource(current_stop_token()), {}};
+    std::optional<ScopedDeadline> deadline;
+    if (config_.deadline_ms > 0)
+      deadline.emplace(ctl.stop,
+                       std::chrono::milliseconds(config_.deadline_ms));
+    // queues[i] feeds stage i; queues[n_stages] feeds the sink. Ring per
     // edge from the stage topology: the generator and the sink are single
     // producer/consumer endpoints; a stage contributes its replication.
     std::vector<std::unique_ptr<StageQueue<Item>>> queues;
@@ -174,8 +175,7 @@ class Pipeline {
           i < n_stages ? static_cast<std::size_t>(effective_[i].replication)
                        : 1;
       queues.push_back(make_stage_queue<Item>(config_.buffer_capacity,
-                                              producers, consumers,
-                                              config_.queue_backend));
+                                              producers, consumers));
     }
 
     std::vector<std::unique_ptr<StageState>> states;
@@ -206,17 +206,6 @@ class Pipeline {
       stats.threads_used += static_cast<std::size_t>(stage.replication);
     }
 
-    // Deadline: expiry poisons the run like a fault, minus the exception.
-    // Declared after ctl and queues — the destructor joins the deadline
-    // thread before anything it captures leaves scope.
-    std::optional<Watchdog> watchdog;
-    if (config_.deadline_ms > 0)
-      watchdog.emplace(std::chrono::milliseconds(config_.deadline_ms),
-                       [&ctl, &queues] {
-                         ctl.stop.request_stop();
-                         poison_all(queues);
-                       });
-
     // The StreamGenerator needs its own thread: if the caller thread both
     // fed the first queue and drained the last one, a stream longer than
     // the total buffer capacity would fill every queue and deadlock.
@@ -236,10 +225,9 @@ class Pipeline {
         }
         if (!buf.empty() && !ctl.stopped()) queues.front()->push_n(&buf);
       } catch (...) {
-        ctl.slot.capture_current();
-        ctl.stop.request_stop();
-        poison_all(queues);
+        ctl.fail();
       }
+      ctl.poison_if_stopped(queues);
       queues.front()->close();
     });
     ++stats.threads_used;
@@ -257,21 +245,19 @@ class Pipeline {
             ++stats.elements;
           }
         } catch (...) {
-          ctl.slot.capture_current();
-          ctl.stop.request_stop();
-          poison_all(queues);
+          ctl.fail();
           break;
         }
       }
+      ctl.poison_if_stopped(queues);
     }
     generator.join();
     for (std::thread& t : threads) t.join();
-    if (watchdog) watchdog->disarm();
-    const bool expired = watchdog && watchdog->fired();
+    const bool expired = deadline && deadline->expired();
     if (telemetry)
       publish_observation(&stats, /*sequential=*/false, run_start_us, telem,
                           &queues);
-    if (ctl.slot.set() || expired || ctl.inherited.stop_requested()) {
+    if (ctl.stopped()) {
       if (telemetry) {
         observe::Registry::global().counter("pipeline.faults").add();
         if (expired)
@@ -349,25 +335,29 @@ class Pipeline {
     T value;
   };
 
-  /// Per-run fault domain: this run's StopSource (also the ambient token
-  /// for nested regions inside stage bodies), the enclosing region's token,
+  /// Per-run fault domain: this run's StopSource, chained to the enclosing
+  /// region (and the ambient token for nested regions inside stage bodies),
   /// and the single exception slot the first thrower claims.
   struct RunControl {
     StopSource stop;
-    StopToken inherited;
     ExceptionSlot slot;
-    [[nodiscard]] bool stopped() const {
-      return stop.stop_requested() || inherited.stop_requested();
+    [[nodiscard]] bool stopped() const { return stop.stop_requested(); }
+    /// Call from a catch block: claim the slot if first, stop the run.
+    void fail() {
+      slot.capture_current();
+      stop.request_stop();
+    }
+    /// Poison protocol, run by every thread as it leaves its loop: once the
+    /// run has stopped, closing every queue wakes any producer or consumer
+    /// parked on a full or empty edge; their next push returns false / pop
+    /// drains-then-ends, so every thread reaches its join. close() is
+    /// idempotent and safe to race from several threads.
+    void poison_if_stopped(
+        std::vector<std::unique_ptr<StageQueue<Item>>>& queues) const {
+      if (!stopped()) return;
+      for (auto& q : queues) q->close();
     }
   };
-
-  /// Poison protocol: closing every queue wakes any producer or consumer
-  /// parked on a full or empty edge; their next push returns false / pop
-  /// drains-then-ends, so every thread reaches its join. close() is
-  /// idempotent and safe to race from several failing threads.
-  static void poison_all(std::vector<std::unique_ptr<StageQueue<Item>>>& qs) {
-    for (auto& q : qs) q->close();
-  }
 
   /// Reorder buffer for OrderPreservation: releases items to the out queue
   /// strictly by sequence number.
@@ -397,7 +387,7 @@ class Pipeline {
     // telemetry granularity is unchanged; wait time is counted per batch.
     const std::size_t batch = std::max<std::size_t>(1, config_.batch_size);
     // This run's token is the ambient one while the stage body runs, so a
-    // nested region inside fn chains its cancellation to this pipeline.
+    // nested region inside fn chains its stop source to this pipeline.
     StopScope ambient(ctl.stop.token());
     std::vector<Item> buf;
     buf.reserve(batch);
@@ -453,14 +443,13 @@ class Pipeline {
                                     std::memory_order_relaxed);
         }
       } catch (...) {
-        // First thrower wins the slot; everyone poisons (idempotent) so
-        // peers blocked on our dead edges wake, then unwinds to the join.
-        ctl.slot.capture_current();
-        ctl.stop.request_stop();
-        poison_all(queues);
+        // First thrower wins the slot; the poison below wakes peers blocked
+        // on our dead edges, then this worker unwinds to the join.
+        ctl.fail();
         break;
       }
     }
+    ctl.poison_if_stopped(queues);
     if (state.active_workers.fetch_sub(1) == 1) {
       // Last worker of this stage: downstream sees end-of-stream.
       out.close();

@@ -1,18 +1,16 @@
 #pragma once
-// Stage-connecting queue interface for the pipeline (paper §2.2 "buffers to
-// connect predecessor and successor stages"), with three backends behind
-// one blocking contract:
+// Stage-connecting queue of the pipeline (paper §2.2 "buffers to connect
+// predecessor and successor stages"): a bounded lock-free ring with a
+// parking slow path, in two flavours picked from the edge topology:
 //
 //   spsc     SpscRing + parking  one producer, one consumer (unreplicated
 //                                pipeline edges — the common case)
 //   mpmc     MpmcRing + parking  replicated neighbours
-//   locking  BoundedQueue        legacy fallback, still exercised in tests
 //
-// The blocking contract is exactly BoundedQueue's: push blocks while full
-// and returns false once closed; pop blocks while empty-and-open, drains
-// remaining elements after close, then returns nullopt; close wakes all.
-// Batched push_n/pop_n move several elements per synchronization point
-// (the BatchSize tuning parameter).
+// Blocking contract: push blocks while full and returns false once closed;
+// pop blocks while empty-and-open, drains remaining elements after close,
+// then returns nullopt; close wakes all. Batched push_n/pop_n move several
+// elements per synchronization point (the BatchSize tuning parameter).
 //
 // Fast paths never touch the mutex: a failed try on the ring falls into a
 // park protocol (waiter counter + condvar). The lost-wakeup race between
@@ -24,9 +22,9 @@
 // a hang — it should never fire, but lock-free + condvar seams earn an
 // airbag.
 //
-// Stats semantics match BoundedQueue: high_water is the max occupancy seen
-// at push, full_waits/empty_waits count blocking episodes (not retries),
-// feeding observe::explain's BufferCapacity / StageReplication advice.
+// Stats: high_water is the max occupancy seen at push, full_waits and
+// empty_waits count blocking episodes (not retries), feeding
+// observe::explain's BufferCapacity / StageReplication advice.
 
 #include <atomic>
 #include <chrono>
@@ -39,23 +37,16 @@
 #include <string>
 #include <vector>
 
-#include "runtime/bounded_queue.hpp"
 #include "runtime/ring_buffer.hpp"
 #include "support/failpoint.hpp"
 
 namespace patty::rt {
 
-/// Occupancy telemetry, backend-independent (mirrors BoundedQueue::Stats).
+/// Occupancy telemetry, the same for both rings.
 struct QueueStats {
   std::size_t high_water = 0;
   std::uint64_t full_waits = 0;
   std::uint64_t empty_waits = 0;
-};
-
-enum class QueueBackend {
-  Auto,      // spsc for 1 producer x 1 consumer edges, mpmc otherwise
-  Locking,   // legacy BoundedQueue
-  LockFree,  // force ring selection (still spsc vs mpmc by topology)
 };
 
 template <typename T>
@@ -84,54 +75,6 @@ class StageQueue {
   [[nodiscard]] virtual std::size_t capacity() const = 0;
   [[nodiscard]] virtual QueueStats stats() const = 0;
   [[nodiscard]] virtual const char* backend() const = 0;
-};
-
-/// Legacy backend: delegates to the mutex-based BoundedQueue.
-template <typename T>
-class LockingStageQueue final : public StageQueue<T> {
- public:
-  explicit LockingStageQueue(std::size_t capacity) : q_(capacity) {}
-
-  bool push(T item) override { return q_.push(std::move(item)); }
-
-  std::size_t push_n(std::vector<T>* items) override {
-    std::size_t accepted = 0;
-    for (T& item : *items) {
-      if (!q_.push(std::move(item))) break;
-      ++accepted;
-    }
-    items->clear();
-    return accepted;
-  }
-
-  std::optional<T> pop() override { return q_.pop(); }
-
-  bool pop_n(std::vector<T>* out, std::size_t max) override {
-    out->clear();
-    std::optional<T> first = q_.pop();
-    if (!first) return false;
-    out->push_back(std::move(*first));
-    while (out->size() < max) {
-      std::optional<T> next = q_.try_pop();
-      if (!next) break;
-      out->push_back(std::move(*next));
-    }
-    return true;
-  }
-
-  std::optional<T> try_pop() override { return q_.try_pop(); }
-  void close() override { q_.close(); }
-  [[nodiscard]] bool closed() const override { return q_.closed(); }
-  [[nodiscard]] std::size_t size() const override { return q_.size(); }
-  [[nodiscard]] std::size_t capacity() const override { return q_.capacity(); }
-  [[nodiscard]] QueueStats stats() const override {
-    const auto s = q_.stats();
-    return {s.high_water, s.full_waits, s.empty_waits};
-  }
-  [[nodiscard]] const char* backend() const override { return "locking"; }
-
- private:
-  BoundedQueue<T> q_;
 };
 
 /// Ring backend: lock-free fast path, mutex-parked slow path.
@@ -236,7 +179,7 @@ class RingStageQueue final : public StageQueue<T> {
   static constexpr auto kParkBound = std::chrono::milliseconds(50);
 
   void after_push(std::size_t pushed) {
-    // High-water from the producer side, like BoundedQueue's push.
+    // High-water from the producer side, sampled after each push.
     const std::size_t occupancy = ring_.size();
     std::size_t seen = high_water_.load(std::memory_order_relaxed);
     while (occupancy > seen &&
@@ -348,15 +291,13 @@ class RingStageQueue final : public StageQueue<T> {
   std::condition_variable not_empty_;
 };
 
-/// Backend selection from stage topology: an edge with one producer and one
+/// Ring selection from stage topology: an edge with one producer and one
 /// consumer (no replication on either side) gets the SPSC ring; replicated
 /// neighbours get the MPMC ring.
 template <typename T>
-std::unique_ptr<StageQueue<T>> make_stage_queue(
-    std::size_t capacity, std::size_t producers, std::size_t consumers,
-    QueueBackend backend = QueueBackend::Auto) {
-  if (backend == QueueBackend::Locking)
-    return std::make_unique<LockingStageQueue<T>>(capacity);
+std::unique_ptr<StageQueue<T>> make_stage_queue(std::size_t capacity,
+                                                std::size_t producers,
+                                                std::size_t consumers) {
   if (producers <= 1 && consumers <= 1)
     return std::make_unique<RingStageQueue<T, SpscRing<T>>>(capacity, "spsc");
   return std::make_unique<RingStageQueue<T, MpmcRing<T>>>(capacity, "mpmc");

@@ -2,7 +2,6 @@
 //
 //   patty-serve --socket /tmp/patty.sock [--workers N] [--queue-limit N]
 //               [--degrade-depth N] [--cache-mb N] [--deadline-ms N]
-//               [--frontend-threads N]
 //
 // Serves parse/detect/certify/tune requests over a Unix-domain socket
 // (wire format: service/protocol.hpp; client: service/client.hpp). Runs
@@ -47,8 +46,7 @@ void on_signal(int) {
       "  --degrade-depth N     sequential-fallback depth (default: limit/2)\n"
       "  --cache-mb N          semantic-model cache budget (default 64)\n"
       "  --deadline-ms N       default per-request deadline, 0 = none\n"
-      "  --write-timeout-ms N  per-write send timeout, 0 = block forever\n"
-      "  --frontend-threads N  workers inside a parallel front-end request\n",
+      "  --write-timeout-ms N  per-write send timeout, 0 = block forever\n",
       argv0);
   std::exit(code);
 }
@@ -93,9 +91,6 @@ int main(int argc, char** argv) {
       options.default_deadline_ms = parse_long(argv[0], arg, value());
     } else if (std::strcmp(arg, "--write-timeout-ms") == 0) {
       options.write_timeout_ms = parse_long(argv[0], arg, value());
-    } else if (std::strcmp(arg, "--frontend-threads") == 0) {
-      options.frontend_threads =
-          static_cast<int>(parse_long(argv[0], arg, value()));
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage(argv[0], 0);
     } else {

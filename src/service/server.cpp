@@ -570,7 +570,6 @@ std::shared_ptr<const ModelEntry> Server::acquire_model(const Request& req,
   program.source = req.source;
   corpus::FrontendConfig config;
   config.parallel = req.parallel && !degrade;
-  config.threads = options_.frontend_threads;
   config.optimistic = req.optimistic;
   config.work_sleeps = req.work_sleeps;
   config.work_sleep_ns = static_cast<std::uint64_t>(req.work_sleep_ns);

@@ -84,9 +84,6 @@ struct ServerOptions {
   /// — or stop()'s drain — indefinitely; a timed-out write fails the
   /// connection instead. 0 = block without bound.
   long write_timeout_ms = 5'000;
-  /// Worker budget inside a parallel-front-end request (0 = resolve via
-  /// PATTY_FRONTEND_THREADS / hardware).
-  int frontend_threads = 0;
   /// Turn the observe layer on at start() so fault.* counters and
   /// telemetry-gated instrumentation feed the health endpoint.
   bool enable_telemetry = true;

@@ -73,7 +73,10 @@ struct Space {
 
 /// Shared evaluation bookkeeping: caching, budget, history, and candidate
 /// hardening — a measurement that throws or outruns the deadline becomes a
-/// failed evaluation (score +inf) instead of aborting the search.
+/// failed evaluation (score +inf) instead of aborting the search. A stop of
+/// the caller's region (the ambient token at construction) ends the search:
+/// the running measurement is cancelled through its chained stop source,
+/// and no further one starts.
 ///
 /// The dedup memo is keyed by the name-sorted VALUE vector (not the index
 /// vector), so it can be shared across tuner instances and even across
@@ -96,6 +99,8 @@ struct Evaluator {
   /// Keys this run measured itself (to tell shared-cache hits apart from
   /// plain revisits when counting run.cache_hits).
   std::set<std::vector<std::int64_t>> own;
+  /// The caller's region: every candidate's stop source chains to it.
+  rt::StopToken enclosing = rt::current_stop_token();
 
   Evaluator(const Space& s, rt::TuningConfig c, const MeasureFn& m,
             std::size_t b, TunerOptions o = {})
@@ -107,7 +112,9 @@ struct Evaluator {
         cache(options.shared_cache ? options.shared_cache.get()
                                    : &local_cache) {}
 
-  [[nodiscard]] bool exhausted() const { return run.evaluations >= budget; }
+  [[nodiscard]] bool exhausted() const {
+    return run.evaluations >= budget || enclosing.stop_requested();
+  }
 
   [[nodiscard]] bool known(const std::vector<std::size_t>& idx) const {
     return cache->scores.count(space.values(idx)) != 0;
@@ -135,26 +142,28 @@ struct Evaluator {
       }
       return it->second;
     }
+    if (enclosing.stop_requested())
+      return std::numeric_limits<double>::infinity();
     space.apply(idx, &config);
     // One trace span per MeasureFn call, with the probed configuration
     // (and afterwards the score) attached: the tuning cycle becomes a row
     // of "tuner.eval" slices in the Chrome trace.
     const bool telemetry = observe::enabled();
     observe::Span span("tuner.eval", "tuning");
-    // Candidate watchdog: on deadline expiry the StopSource installed as
-    // the ambient token fires, every region the measurement runs (they all
-    // read current_stop_token()) cancels cooperatively, and the resulting
-    // OperationCancelled lands in the catch below.
+    // Candidate scope: the StopSource installed as the ambient token stops
+    // on the candidate deadline or with the enclosing region, every region
+    // the measurement runs (they all read current_stop_token()) cancels
+    // cooperatively, and the resulting OperationCancelled lands in the
+    // catch below.
     double score = 0.0;
     bool failed = false;
     std::string failure;
     {
-      rt::StopSource stop;
-      std::optional<rt::Watchdog> watchdog;
+      rt::StopSource stop(enclosing);
+      std::optional<rt::ScopedDeadline> deadline;
       if (options.candidate_deadline_ms > 0)
-        watchdog.emplace(
-            std::chrono::milliseconds(options.candidate_deadline_ms),
-            [&stop] { stop.request_stop(); });
+        deadline.emplace(
+            stop, std::chrono::milliseconds(options.candidate_deadline_ms));
       rt::StopScope ambient(stop.token());
       try {
         score = measure(config);
@@ -165,12 +174,9 @@ struct Evaluator {
         failed = true;
         failure = "unknown exception";
       }
-      if (watchdog) {
-        watchdog->disarm();
-        if (watchdog->fired()) {
-          failed = true;
-          failure = "deadline exceeded";
-        }
+      if (deadline && deadline->expired()) {
+        failed = true;
+        failure = "deadline exceeded";
       }
     }
     if (failed) {

@@ -7,7 +7,10 @@
 //     any pipeline stage position, generator, sink) cancels the region,
 //     unwinds every worker, and rethrows EXACTLY ONE exception at the join;
 //   * queues poisoned by close() wake producers parked on a full queue and
-//     consumers parked on an empty one, on every backend;
+//     consumers parked on an empty one, on both rings;
+//   * a stop flows down nested regions: a region nested in a pool task or a
+//     pipeline stage stops with the enclosing region, a stopped pipeline
+//     closes every queue, and armed deadlines share the scheduler thread;
 //   * graceful degradation replays the region sequentially when enabled,
 //     visibly (degraded()/observe counters/tuner report);
 //   * the tuner survives throwing and hung candidates;
@@ -16,15 +19,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/semantic_model.hpp"
@@ -123,11 +132,10 @@ TEST_F(FaultTest, DisarmedSiteIsInert) {
 /// Producers parked on a FULL queue with a permanently-stalled consumer:
 /// close() must wake all of them, and their push must report the closure.
 /// Already-buffered elements stay poppable (drain-then-end).
-void expect_close_wakes_parked_producers(rt::QueueBackend backend,
-                                         std::size_t producers,
+void expect_close_wakes_parked_producers(std::size_t producers,
                                          std::size_t consumers) {
   constexpr std::size_t kCapacity = 4;
-  auto q = rt::make_stage_queue<int>(kCapacity, producers, consumers, backend);
+  auto q = rt::make_stage_queue<int>(kCapacity, producers, consumers);
   // Fill to capacity from one thread (respects the SPSC single-producer
   // contract; the parked producers below only start after this is done).
   for (std::size_t i = 0; i < kCapacity; ++i) ASSERT_TRUE(q->push(1));
@@ -158,10 +166,9 @@ void expect_close_wakes_parked_producers(rt::QueueBackend backend,
 }
 
 /// Consumers parked on an EMPTY queue: close() wakes them; pop reports end.
-void expect_close_wakes_parked_consumers(rt::QueueBackend backend,
-                                         std::size_t producers,
+void expect_close_wakes_parked_consumers(std::size_t producers,
                                          std::size_t consumers) {
-  auto q = rt::make_stage_queue<int>(4, producers, consumers, backend);
+  auto q = rt::make_stage_queue<int>(4, producers, consumers);
   std::atomic<int> ended{0};
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < consumers; ++c) {
@@ -176,22 +183,17 @@ void expect_close_wakes_parked_consumers(rt::QueueBackend backend,
       << q->backend() << ": a parked consumer was not woken by close()";
 }
 
-TEST_F(FaultTest, CloseWakesParkedProducersLockingBackend) {
-  expect_close_wakes_parked_producers(rt::QueueBackend::Locking, 2, 2);
-}
-
 TEST_F(FaultTest, CloseWakesParkedProducersSpscRing) {
-  expect_close_wakes_parked_producers(rt::QueueBackend::Auto, 1, 1);
+  expect_close_wakes_parked_producers(1, 1);
 }
 
 TEST_F(FaultTest, CloseWakesParkedProducersMpmcRing) {
-  expect_close_wakes_parked_producers(rt::QueueBackend::Auto, 2, 2);
+  expect_close_wakes_parked_producers(2, 2);
 }
 
 TEST_F(FaultTest, CloseWakesParkedConsumersAllBackends) {
-  expect_close_wakes_parked_consumers(rt::QueueBackend::Locking, 2, 2);
-  expect_close_wakes_parked_consumers(rt::QueueBackend::Auto, 1, 1);
-  expect_close_wakes_parked_consumers(rt::QueueBackend::Auto, 2, 2);
+  expect_close_wakes_parked_consumers(1, 1);
+  expect_close_wakes_parked_consumers(2, 2);
 }
 
 // --- parallel_for fault domain ----------------------------------------------
@@ -560,15 +562,20 @@ TEST_F(FaultTest, PipelineSpuriousQueueWakeupsAreHarmless) {
 
 TEST_F(FaultTest, NestedRegionChainsCancellationFromEnclosingPipeline) {
   // A pipeline stage runs a nested parallel_for; a sibling stage faults.
-  // The nested loop inherits the pipeline's ambient StopToken, so it either
-  // completed before the fault or was cancelled — and the pipeline still
-  // rethrows exactly one exception (the sibling's).
+  // The nested loop chains its stop source to the pipeline's ambient
+  // StopToken, so it either completed before the fault or was cancelled —
+  // and the pipeline still rethrows exactly one exception (the sibling's).
   std::vector<rt::Pipeline<Elem>::Stage> stages;
   stages.push_back({"nested",
                     [](Elem& e) {
+                      std::atomic<int> hits{0};
                       rt::parallel_for(
-                          0, 8, [&](std::int64_t) { e.value += 1; },
+                          0, 8,
+                          [&](std::int64_t) {
+                            hits.fetch_add(1, std::memory_order_relaxed);
+                          },
                           pf_tuning(1));
+                      e.value += hits.load();
                     },
                     1, false, false});
   stages.push_back({"boom",
@@ -588,6 +595,111 @@ TEST_F(FaultTest, NestedRegionChainsCancellationFromEnclosingPipeline) {
         << what;
   }
   EXPECT_EQ(exceptions, 1);
+}
+
+// --- enclosing stops and deadlines -------------------------------------------
+
+constexpr int kNestedIterations = 200;
+
+/// A parallel_for of 2 ms iterations; counts the iterations that start once
+/// `enclosing` has stopped.
+void nested_loop(const rt::StopToken& enclosing, std::atomic<int>* after_stop) {
+  rt::parallel_for(
+      0, kNestedIterations,
+      [&](std::int64_t) {
+        if (enclosing.stop_requested()) after_stop->fetch_add(1);
+        std::this_thread::sleep_for(2ms);
+      },
+      pf_tuning(1));
+}
+
+/// Runs `region` under an enclosing stop source that stops 20 ms in, and
+/// expects the region to unwind with OperationCancelled.
+void run_under_stop_at_20ms(
+    const std::function<void(const rt::StopToken&)>& region) {
+  rt::StopSource outer;
+  rt::StopScope ambient(outer.token());
+  std::thread stopper([&outer] {
+    std::this_thread::sleep_for(20ms);
+    outer.request_stop();
+  });
+  EXPECT_THROW(region(outer.token()), rt::OperationCancelled);
+  stopper.join();
+}
+
+TEST_F(FaultTest, NestedParallelForInSharedPoolTaskStopsWithEnclosingRegion) {
+  std::array<std::atomic<int>, 2> after_stop{};
+  run_under_stop_at_20ms([&after_stop](const rt::StopToken& enclosing) {
+    std::vector<std::function<void()>> tasks;
+    for (std::atomic<int>& count : after_stop)
+      tasks.emplace_back(
+          [&enclosing, &count] { nested_loop(enclosing, &count); });
+    rt::MasterWorker(0).run(tasks);  // shared-pool path
+  });
+  for (const std::atomic<int>& count : after_stop)
+    EXPECT_LT(count.load(), kNestedIterations / 2);
+}
+
+TEST_F(FaultTest, NestedParallelForInPipelineStageStopsWithEnclosingRegion) {
+  std::atomic<int> after_stop{0};
+  run_under_stop_at_20ms([&after_stop](const rt::StopToken& enclosing) {
+    rt::Pipeline<Elem> p(
+        {{"nested", [&](Elem&) { nested_loop(enclosing, &after_stop); }, 1,
+          false, false}},
+        small_buffers("fault.nested_stop"));
+    p.run(counting_source(1), [](Elem&&) {});
+  });
+  EXPECT_LT(after_stop.load(), kNestedIterations / 2);
+}
+
+/// Runs `body` on its own thread and ends the (death-test) process: exit 0
+/// when it returns true within `limit`, 1 when it returns false, 2 when it
+/// is still running then. _Exit skips destructors, so a hung body cannot
+/// hang the test.
+[[noreturn]] void exit_within(std::chrono::milliseconds limit,
+                              std::function<bool()> body) {
+  auto done = std::make_shared<std::promise<bool>>();
+  std::future<bool> result = done->get_future();
+  std::thread([body = std::move(body), done] { done->set_value(body()); })
+      .detach();
+  if (result.wait_for(limit) != std::future_status::ready) std::_Exit(2);
+  std::_Exit(result.get() ? 0 : 1);
+}
+
+TEST_F(FaultTest, BackpressuredPipelineEndsOnEnclosingStop) {
+  // The generator is parked on a full first queue when the enclosing region
+  // stops. The stage worker leaves on the stop; unless that closes every
+  // queue, the generator never wakes and run() never returns.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(exit_within(1000ms,
+                          [] {
+                            rt::StopSource outer;
+                            rt::StopScope ambient(outer.token());
+                            rt::PipelineConfig cfg =
+                                small_buffers("fault.backpressured_stop");
+                            cfg.buffer_capacity = 1;
+                            rt::Pipeline<Elem> p(
+                                {{"slow",
+                                  [](Elem&) {
+                                    std::this_thread::sleep_for(2ms);
+                                  },
+                                  1, false, false}},
+                                cfg);
+                            std::thread stopper([&outer] {
+                              std::this_thread::sleep_for(20ms);
+                              outer.request_stop();
+                            });
+                            bool cancelled = false;
+                            try {
+                              p.run(counting_source(1'000'000),
+                                    [](Elem&&) {});
+                            } catch (const rt::OperationCancelled&) {
+                              cancelled = true;
+                            }
+                            stopper.join();
+                            return cancelled;
+                          }),
+              ::testing::ExitedWithCode(0), "");
 }
 
 // --- thread pool / TaskGroup exception safety --------------------------------
@@ -695,6 +807,106 @@ TEST_F(FaultTest, TunerDeadlineCancelsHungCandidate) {
   EXPECT_TRUE(saw_deadline);
   // The hung value never wins.
   EXPECT_NE(run.best.get_or("loop.grain", -1), 3);
+}
+
+TEST_F(FaultTest, TunerUnderEnclosingStopStartsNoMeasurement) {
+  // Each measurement takes 500 ms unless its ambient token stops; the
+  // enclosing region stops 20 ms into the first one.
+  using Clock = std::chrono::steady_clock;
+  rt::StopSource outer;
+  rt::StopScope ambient(outer.token());
+  std::vector<Clock::time_point> starts;
+  const tuning::MeasureFn measure = [&starts](const rt::TuningConfig&) {
+    starts.push_back(Clock::now());
+    const rt::StopToken token = rt::current_stop_token();
+    const auto end = Clock::now() + 500ms;
+    while (Clock::now() < end) {
+      if (token.stop_requested()) throw rt::OperationCancelled("measure");
+      std::this_thread::sleep_for(1ms);
+    }
+    return 1.0;
+  };
+  Clock::time_point stopped_at;
+  std::thread stopper([&outer, &stopped_at] {
+    std::this_thread::sleep_for(20ms);
+    stopped_at = Clock::now();
+    outer.request_stop();
+  });
+  tuning::make_linear_tuner()->tune(one_knob_config(), measure, 16);
+  const Clock::time_point returned = Clock::now();
+  stopper.join();
+  EXPECT_LT(returned - stopped_at, 100ms);
+  ASSERT_FALSE(starts.empty());
+  for (const Clock::time_point& start : starts)
+    EXPECT_LT(start, stopped_at) << "a measurement started after the stop";
+}
+
+/// Current thread count of this process (Linux /proc).
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0)
+      return std::atoi(line.c_str() + sizeof("Threads:") - 1);
+  }
+  return -1;
+}
+
+TEST_F(FaultTest, ArmedDeadlinesStartNoThread) {
+  // The scheduler's thread and the shared pool exist before the baseline.
+  (void)rt::DeadlineScheduler::global();
+  rt::parallel_for(0, 64, [](std::int64_t) {}, pf_tuning());
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+
+  std::atomic<int> in_loop{-1};
+  auto tuning = pf_tuning(1);
+  tuning.deadline_ms = 60'000;
+  rt::parallel_for(
+      0, 8,
+      [&](std::int64_t i) {
+        if (i == 0) in_loop.store(process_threads());
+      },
+      tuning);
+  EXPECT_EQ(in_loop.load(), before) << "parallel_for deadline";
+
+  // A pipeline run adds its stage and generator threads; a deadline adds
+  // nothing on top of them. The source waits for the count, so the
+  // generator thread is alive while the stage takes it.
+  auto threads_in_stage = [](std::int64_t deadline_ms) {
+    rt::PipelineConfig cfg = small_buffers("fault.deadline_threads");
+    cfg.deadline_ms = deadline_ms;
+    std::atomic<int> seen{-1};
+    rt::Pipeline<Elem> p(
+        {{"count", [&seen](Elem&) { seen.store(process_threads()); }, 1,
+          false, false}},
+        cfg);
+    bool emitted = false;
+    p.run(
+        [&]() -> std::optional<Elem> {
+          if (!std::exchange(emitted, true)) return Elem{};
+          while (seen.load() < 0) std::this_thread::sleep_for(1ms);
+          return std::nullopt;
+        },
+        [](Elem&&) {});
+    return seen.load();
+  };
+  EXPECT_EQ(threads_in_stage(60'000), threads_in_stage(0))
+      << "pipeline deadline";
+
+  auto tuner = tuning::make_linear_tuner();
+  tuning::TunerOptions options;
+  options.candidate_deadline_ms = 60'000;
+  tuner->set_options(options);
+  int in_measure = -1;
+  tuner->tune(
+      one_knob_config(),
+      [&in_measure](const rt::TuningConfig&) {
+        in_measure = process_threads();
+        return 1.0;
+      },
+      1);
+  EXPECT_EQ(in_measure, before) << "tuner candidate deadline";
 }
 
 // --- plan executor: end-to-end degradation ------------------------------------

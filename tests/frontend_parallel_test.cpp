@@ -9,13 +9,11 @@
 //  * the dependence memo returns stable references and computes once per
 //    (loop, mode);
 //  * a shared Profiler stays consistent (and TSan-clean) under concurrent
-//    trace interpretation;
-//  * PATTY_FRONTEND_THREADS resolves the worker budget.
+//    trace interpretation.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -39,7 +37,7 @@ std::vector<const corpus::CorpusProgram*> whole_corpus(
 
 TEST(FrontendDeterminism, ParallelMatchesSequentialByteForByte) {
   // The full §5 study corpus plus every hand-written program, evaluated by
-  // both front-ends at two worker budgets. Equal fingerprints mean every
+  // both front-ends. Equal fingerprints mean every
   // candidate field and every rejection matched everywhere (see
   // patterns::detection_fingerprint).
   const std::vector<corpus::CorpusProgram> synthetic =
@@ -53,19 +51,14 @@ TEST(FrontendDeterminism, ParallelMatchesSequentialByteForByte) {
   ASSERT_FALSE(reference.empty());
   EXPECT_NE(reference.find("avistream"), std::string::npos);
 
-  for (int threads : {2, 8}) {
-    config.parallel = true;
-    config.threads = threads;
-    const corpus::CorpusReport parallel = corpus::evaluate_corpus(all, config);
-    EXPECT_EQ(parallel.fingerprint(), reference)
-        << "parallel front-end diverged at " << threads << " threads";
-    EXPECT_EQ(parallel.total.true_positives, sequential.total.true_positives);
-    EXPECT_EQ(parallel.total.false_positives,
-              sequential.total.false_positives);
-    EXPECT_EQ(parallel.total.false_negatives,
-              sequential.total.false_negatives);
-    EXPECT_EQ(parallel.total.true_negatives, sequential.total.true_negatives);
-  }
+  config.parallel = true;
+  const corpus::CorpusReport parallel = corpus::evaluate_corpus(all, config);
+  EXPECT_EQ(parallel.fingerprint(), reference)
+      << "parallel front-end diverged";
+  EXPECT_EQ(parallel.total.true_positives, sequential.total.true_positives);
+  EXPECT_EQ(parallel.total.false_positives, sequential.total.false_positives);
+  EXPECT_EQ(parallel.total.false_negatives, sequential.total.false_negatives);
+  EXPECT_EQ(parallel.total.true_negatives, sequential.total.true_negatives);
 }
 
 TEST(FrontendDeterminism, LargeCorpusMatchesSequential) {
@@ -86,7 +79,6 @@ TEST(FrontendDeterminism, LargeCorpusMatchesSequential) {
   ASSERT_FALSE(reference.empty());
 
   config.parallel = true;
-  config.threads = 8;
   EXPECT_EQ(corpus::evaluate_corpus(all, config).fingerprint(), reference);
 }
 
@@ -116,27 +108,23 @@ TEST(FrontendErrors, FailingProgramOnlyFailsItsOwnReport) {
       << sequential.programs[failing].error;
 
   config.parallel = true;
-  for (int threads : {2, 8}) {
-    config.threads = threads;
-    std::vector<std::atomic<int>> inspected(all.size());
-    config.inspect = [&inspected](const corpus::ProgramInspection& in) {
-      inspected[in.index].fetch_add(1);
-    };
-    const corpus::CorpusReport parallel = corpus::evaluate_corpus(all, config);
-    ASSERT_EQ(parallel.programs.size(), all.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const corpus::ProgramReport& p = parallel.programs[i];
-      EXPECT_EQ(p.name, all[i]->name) << "slot " << i;
-      EXPECT_EQ(p.error, sequential.programs[i].error) << p.name;
-      EXPECT_EQ(p.fingerprint, sequential.programs[i].fingerprint) << p.name;
-      EXPECT_EQ(inspected[i].load(), i == failing ? 0 : 1) << p.name;
-      if (i != failing) {
-        EXPECT_TRUE(p.error.empty()) << p.name;
-      }
+  std::vector<std::atomic<int>> inspected(all.size());
+  config.inspect = [&inspected](const corpus::ProgramInspection& in) {
+    inspected[in.index].fetch_add(1);
+  };
+  const corpus::CorpusReport parallel = corpus::evaluate_corpus(all, config);
+  ASSERT_EQ(parallel.programs.size(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const corpus::ProgramReport& p = parallel.programs[i];
+    EXPECT_EQ(p.name, all[i]->name) << "slot " << i;
+    EXPECT_EQ(p.error, sequential.programs[i].error) << p.name;
+    EXPECT_EQ(p.fingerprint, sequential.programs[i].fingerprint) << p.name;
+    EXPECT_EQ(inspected[i].load(), i == failing ? 0 : 1) << p.name;
+    if (i != failing) {
+      EXPECT_TRUE(p.error.empty()) << p.name;
     }
-    EXPECT_EQ(parallel.fingerprint(), sequential.fingerprint())
-        << threads << " threads";
   }
+  EXPECT_EQ(parallel.fingerprint(), sequential.fingerprint());
 }
 
 TEST(FrontendCancellation, StoppedScopeCancelsParallelFrontend) {
@@ -155,11 +143,7 @@ TEST(FrontendCancellation, StoppedScopeCancelsParallelFrontend) {
   const rt::StopScope scope(stop.token());
   corpus::FrontendConfig config;
   config.parallel = true;
-  for (int threads : {1, 4}) {
-    config.threads = threads;
-    EXPECT_THROW(corpus::evaluate_corpus(all, config), rt::OperationCancelled)
-        << threads << " threads";
-  }
+  EXPECT_THROW(corpus::evaluate_corpus(all, config), rt::OperationCancelled);
 }
 
 TEST(FrontendDeterminism, ParallelDetectorMatchesSequentialPerProgram) {
@@ -289,17 +273,6 @@ TEST(ProfilerConcurrency, ConcurrentTraceInterpretationIsConsistent) {
   EXPECT_EQ(lp->total_iterations,
             static_cast<std::uint64_t>(kThreads) * kCalls * kIters);
   EXPECT_GT(profiler.total_cost(), 0u);
-}
-
-TEST(FrontendThreads, ResolutionOrder) {
-  EXPECT_EQ(corpus::frontend_threads(6), 6);
-  ::setenv("PATTY_FRONTEND_THREADS", "3", 1);
-  EXPECT_EQ(corpus::frontend_threads(0), 3);
-  EXPECT_EQ(corpus::frontend_threads(5), 5);  // explicit beats env
-  ::setenv("PATTY_FRONTEND_THREADS", "0", 1);
-  EXPECT_GE(corpus::frontend_threads(0), 1);  // invalid env -> hardware
-  ::unsetenv("PATTY_FRONTEND_THREADS");
-  EXPECT_GE(corpus::frontend_threads(0), 1);
 }
 
 }  // namespace

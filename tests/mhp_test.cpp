@@ -371,43 +371,39 @@ TEST(CertifyCorpusTest, ParallelCertificationMatchesSequential) {
 
   const CorpusCertification sequential = certify_corpus(programs);
   ASSERT_GT(sequential.totals.residue_raced, 0u);
-  for (int threads : {2, 8}) {
-    corpus::FrontendConfig config;
-    config.parallel = true;
-    config.threads = threads;
-    const CorpusCertification parallel = certify_corpus(programs, config);
-    ASSERT_EQ(parallel.programs.size(), sequential.programs.size());
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-      const ProgramCertificate& want = sequential.programs[i];
-      const ProgramCertificate& got = parallel.programs[i];
-      SCOPED_TRACE(programs[i]->name + " at " + std::to_string(threads) +
-                   " threads");
-      EXPECT_EQ(got.program, want.program);
-      EXPECT_EQ(got.error, want.error);
-      EXPECT_EQ(got.verdict, want.verdict);
-      EXPECT_EQ(got.summary.total(), want.summary.total());
-      EXPECT_EQ(got.summary.ordered, want.summary.ordered);
-      EXPECT_EQ(got.summary.disjoint, want.summary.disjoint);
-      EXPECT_EQ(got.summary.private_or_fresh, want.summary.private_or_fresh);
-      EXPECT_EQ(got.summary.residue, want.summary.residue);
-      ASSERT_EQ(got.probes.size(), want.probes.size());
-      for (std::size_t k = 0; k < want.probes.size(); ++k) {
-        EXPECT_EQ(got.probes[k].label, want.probes[k].label);
-        EXPECT_EQ(got.probes[k].raced, want.probes[k].raced);
-      }
+  corpus::FrontendConfig config;
+  config.parallel = true;
+  const CorpusCertification parallel = certify_corpus(programs, config);
+  ASSERT_EQ(parallel.programs.size(), sequential.programs.size());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const ProgramCertificate& want = sequential.programs[i];
+    const ProgramCertificate& got = parallel.programs[i];
+    SCOPED_TRACE(programs[i]->name);
+    EXPECT_EQ(got.program, want.program);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.verdict, want.verdict);
+    EXPECT_EQ(got.summary.total(), want.summary.total());
+    EXPECT_EQ(got.summary.ordered, want.summary.ordered);
+    EXPECT_EQ(got.summary.disjoint, want.summary.disjoint);
+    EXPECT_EQ(got.summary.private_or_fresh, want.summary.private_or_fresh);
+    EXPECT_EQ(got.summary.residue, want.summary.residue);
+    ASSERT_EQ(got.probes.size(), want.probes.size());
+    for (std::size_t k = 0; k < want.probes.size(); ++k) {
+      EXPECT_EQ(got.probes[k].label, want.probes[k].label);
+      EXPECT_EQ(got.probes[k].raced, want.probes[k].raced);
     }
-    const CertificationTotals& a = parallel.totals;
-    const CertificationTotals& b = sequential.totals;
-    EXPECT_EQ(a.programs, b.programs);
-    EXPECT_EQ(a.certified_static, b.certified_static);
-    EXPECT_EQ(a.certified_explored, b.certified_explored);
-    EXPECT_EQ(a.residue_raced, b.residue_raced);
-    EXPECT_EQ(a.errors, b.errors);
-    EXPECT_EQ(a.pairs, b.pairs);
-    EXPECT_EQ(a.residue, b.residue);
-    EXPECT_EQ(a.probes, b.probes);
-    EXPECT_EQ(a.probes_raced, b.probes_raced);
   }
+  const CertificationTotals& a = parallel.totals;
+  const CertificationTotals& b = sequential.totals;
+  EXPECT_EQ(a.programs, b.programs);
+  EXPECT_EQ(a.certified_static, b.certified_static);
+  EXPECT_EQ(a.certified_explored, b.certified_explored);
+  EXPECT_EQ(a.residue_raced, b.residue_raced);
+  EXPECT_EQ(a.errors, b.errors);
+  EXPECT_EQ(a.pairs, b.pairs);
+  EXPECT_EQ(a.residue, b.residue);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.probes_raced, b.probes_raced);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-// Runtime-library tests: bounded queue, thread pool, master/worker,
-// parallel-for/reduce, and the tuning configuration file format.
+// Runtime-library tests: thread pool, master/worker, parallel-for/reduce,
+// and the tuning configuration file format. The stage-queue contract lives
+// in runtime_stress_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,6 @@
 #include <numeric>
 #include <thread>
 
-#include "runtime/bounded_queue.hpp"
 #include "runtime/master_worker.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
@@ -16,91 +16,6 @@
 
 namespace patty::rt {
 namespace {
-
-// --- BoundedQueue ------------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoOrder) {
-  BoundedQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) q.push(i);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(q.pop().value(), i);
-}
-
-TEST(BoundedQueueTest, PopAfterCloseDrainsThenFails) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueueTest, PushAfterCloseIsRejected) {
-  BoundedQueue<int> q(4);
-  q.close();
-  EXPECT_FALSE(q.push(1));
-}
-
-TEST(BoundedQueueTest, BlockedPushWakesOnPop) {
-  BoundedQueue<int> q(1);
-  q.push(0);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.push(1);
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 0);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 1);
-}
-
-TEST(BoundedQueueTest, BlockedPopWakesOnClose) {
-  BoundedQueue<int> q(1);
-  std::thread consumer([&] { EXPECT_FALSE(q.pop().has_value()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  consumer.join();
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumers) {
-  BoundedQueue<int> q(8);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  std::atomic<long> sum{0};
-  std::atomic<int> received{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum += *v;
-        ++received;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(received.load(), kProducers * kPerProducer);
-  const long n = kProducers * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-TEST(BoundedQueueTest, TryPopNonBlocking) {
-  BoundedQueue<int> q(2);
-  EXPECT_FALSE(q.try_pop().has_value());
-  q.push(9);
-  EXPECT_EQ(q.try_pop().value(), 9);
-}
 
 // --- ThreadPool / TaskGroup --------------------------------------------------
 

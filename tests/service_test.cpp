@@ -15,7 +15,8 @@
 //     including after an eviction (the frozen-model rule), and its LRU byte
 //     bound holds under concurrency;
 //   * deadlines ride one shared DeadlineScheduler thread — 100 concurrent
-//     deadlined requests must not cost 100 watchdog threads;
+//     deadlined requests must not cost 100 timer threads — and interrupt
+//     long emulated work and a tune search mid-measurement;
 //   * the fault-injection soak gate: ≥1000 mixed requests with failpoints
 //     armed across daemon and runtime paths, every request answered, zero
 //     crashes or hangs, service counters balanced at the end.
@@ -392,8 +393,8 @@ TEST(DeadlineSchedulerTest, DestructionCancelsBeforeExpiry) {
   EXPECT_FALSE(source.token().stop_requested());
 }
 
-/// The Watchdog regression: 100 concurrent armed deadlines must share the
-/// scheduler's single timer thread, not spawn one thread each.
+/// Thread-per-deadline regression: 100 concurrent armed deadlines must
+/// share the scheduler's single timer thread, not spawn one thread each.
 TEST(DeadlineSchedulerTest, HundredDeadlinesShareOneThread) {
   (void)rt::DeadlineScheduler::global();  // scheduler thread already up
   const int before = process_threads();
@@ -783,6 +784,43 @@ TEST_F(ServiceTest, DeadlineExpiryIsAStructuredError) {
   EXPECT_TRUE(must_call(client, good).ok);
 }
 
+TEST_F(ServiceTest, DeadlineInterruptsLongEmulatedWork) {
+  // One work(1) at 5 s per unit: the deadline must cut the sleep short.
+  start();
+  Client client = connect();
+  Request req = slow_request(1, /*iters=*/1);
+  req.work_sleep_ns = 5'000'000'000;
+  req.deadline_ms = 50;
+  const auto start_time = std::chrono::steady_clock::now();
+  const Response resp = must_call(client, req);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, ErrorCode::Deadline) << resp.error_message;
+  EXPECT_LT(std::chrono::steady_clock::now() - start_time, 2s);
+}
+
+TEST_F(ServiceTest, TuneDeadlineCancelsSearchMidMeasurement) {
+  // The model is cached first, so the deadline lands in the tuner's first
+  // measurement; each measurement alone outlasts the deadline.
+  start();
+  Client client = connect();
+  Request detect = slow_request(1, /*iters=*/1000);
+  detect.work_sleep_ns = 1'000;
+  detect.no_cache = false;
+  ASSERT_TRUE(must_call(client, detect).ok);
+
+  Request tune = slow_request(2, /*iters=*/1000);
+  tune.kind = RequestKind::Tune;
+  tune.no_cache = false;
+  tune.max_evals = 4;
+  tune.deadline_ms = 50;
+  const auto start_time = std::chrono::steady_clock::now();
+  const Response resp = must_call(client, tune);
+  EXPECT_TRUE(resp.cached);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, ErrorCode::Deadline) << resp.error_message;
+  EXPECT_LT(std::chrono::steady_clock::now() - start_time, 500ms);
+}
+
 TEST_F(ServiceTest, WriteFaultKillsOnlyThatConnection) {
   start();
   Client victim = connect();
@@ -828,8 +866,8 @@ TEST_F(ServiceTest, AcceptFaultLosesOnlyThatConnection) {
   EXPECT_TRUE(must_call(ok, req).ok);
 }
 
-/// The Watchdog regression at daemon level: a storm of deadlined requests
-/// must ride the shared scheduler thread.
+/// Thread-per-deadline regression at daemon level: a storm of deadlined
+/// requests must ride the shared scheduler thread.
 TEST_F(ServiceTest, DeadlineStormDoesNotSpawnThreadPerRequest) {
   ServerOptions options;
   options.workers = 4;
