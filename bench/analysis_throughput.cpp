@@ -31,10 +31,10 @@
 #include <cstring>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "corpus/corpus.hpp"
+#include "runtime/thread_pool.hpp"
 #include "transform/certify.hpp"
 
 namespace {
@@ -157,8 +157,7 @@ int main(int argc, char** argv) {
   }
   if (large_programs < 0) large_programs = short_mode ? 0 : 1000;
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int cpu_cores = hw == 0 ? 1 : static_cast<int>(hw);
+  const int cpu_cores = patty::rt::hardware_threads();
 
   // The precision/recall study corpus (110 blocks, fixed seed); short mode
   // keeps the same generator but a slice of it.

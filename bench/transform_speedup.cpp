@@ -110,6 +110,17 @@ void run_plan(benchmark::State& state, Prepared& p,
   }
 }
 
+/// Executor construction alone (call graph, effects, design-time
+/// predictions, plans): the set-up every PattyAuto/Manual iteration pays
+/// before its run.
+void run_setup(benchmark::State& state, Prepared& p) {
+  for (auto _ : state) {
+    transform::ParallelPlanExecutor executor(*p.program, p.candidates,
+                                             &p.tuned_config);
+    benchmark::DoNotOptimize(executor);
+  }
+}
+
 void BM_AviStream_Sequential(benchmark::State& state) {
   run_sequential(state, avistream());
 }
@@ -118,6 +129,9 @@ void BM_AviStream_PattyAuto(benchmark::State& state) {
 }
 void BM_AviStream_Manual(benchmark::State& state) {
   run_plan(state, avistream(), avistream().manual_config);
+}
+void BM_AviStream_Setup(benchmark::State& state) {
+  run_setup(state, avistream());
 }
 
 void BM_Matrix_Sequential(benchmark::State& state) {
@@ -129,6 +143,9 @@ void BM_Matrix_PattyAuto(benchmark::State& state) {
 void BM_Matrix_Manual(benchmark::State& state) {
   run_plan(state, matrix(), matrix().manual_config);
 }
+void BM_Matrix_Setup(benchmark::State& state) {
+  run_setup(state, matrix());
+}
 
 void BM_RayTracer_Sequential(benchmark::State& state) {
   run_sequential(state, raytracer());
@@ -139,16 +156,22 @@ void BM_RayTracer_PattyAuto(benchmark::State& state) {
 void BM_RayTracer_Manual(benchmark::State& state) {
   run_plan(state, raytracer(), raytracer().manual_config);
 }
+void BM_RayTracer_Setup(benchmark::State& state) {
+  run_setup(state, raytracer());
+}
 
 BENCHMARK(BM_AviStream_Sequential)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AviStream_PattyAuto)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AviStream_Manual)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AviStream_Setup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Matrix_Sequential)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Matrix_PattyAuto)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Matrix_Manual)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Matrix_Setup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RayTracer_Sequential)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RayTracer_PattyAuto)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RayTracer_Manual)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RayTracer_Setup)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "observe/metrics.hpp"
@@ -43,9 +42,7 @@ LoopMetrics& loop_metrics() {
 }
 
 std::int64_t effective_threads(const ParallelForTuning& tuning) {
-  if (tuning.threads > 0) return tuning.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::int64_t>(hw);
+  return tuning.threads > 0 ? tuning.threads : hardware_threads();
 }
 
 std::int64_t effective_grain(std::int64_t range,

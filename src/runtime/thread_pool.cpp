@@ -87,14 +87,19 @@ struct WorkerIdentity {
 thread_local WorkerIdentity g_worker_identity;
 }  // namespace
 
+int hardware_threads() {
+  static const int threads = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return threads;
+}
+
 bool ThreadPool::on_worker_thread() { return g_on_pool_worker; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  std::size_t n = threads;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) n = 1;
-  }
+  const std::size_t n =
+      threads > 0 ? threads : static_cast<std::size_t>(hardware_threads());
   injector_ = std::make_unique<Injector>(4096);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -313,8 +318,8 @@ ThreadPool& ThreadPool::shared() {
   // At least four workers even on small hosts: fork-join users block a
   // caller thread on pool progress, and wait-dominated tasks (pipelines
   // over I/O-like stages) still overlap when cores are scarce.
-  static ThreadPool pool(std::max<std::size_t>(
-      4, std::thread::hardware_concurrency()));
+  static ThreadPool pool(
+      std::max<std::size_t>(4, static_cast<std::size_t>(hardware_threads())));
   return pool;
 }
 

@@ -37,9 +37,14 @@ namespace patty::rt {
 
 class TaskGroup;
 
+/// The machine's hardware thread count (at least 1), read once per process:
+/// std::thread::hardware_concurrency() costs microseconds per call on some
+/// libcs, and every "0 = one per hardware thread" default resolves here.
+int hardware_threads();
+
 class ThreadPool {
  public:
-  /// `threads` == 0 picks hardware_concurrency (at least 1).
+  /// `threads` == 0 picks hardware_threads().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

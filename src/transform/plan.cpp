@@ -205,6 +205,30 @@ const lang::MethodDecl* method_containing(const lang::Program& program,
   return nullptr;
 }
 
+/// A master/worker candidate's task statements, looked up in `method` (the
+/// tasks are consecutive statements of one block); null where an id is not
+/// found there.
+std::vector<const Stmt*> task_statements(const lang::MethodDecl* method,
+                                         const Candidate& c) {
+  std::vector<const Stmt*> tasks(c.task_stmt_ids.size(), nullptr);
+  if (!method) return tasks;
+  lang::for_each_stmt(*method->body, [&](const Stmt& st) {
+    for (std::size_t k = 0; k < tasks.size(); ++k)
+      if (st.id == c.task_stmt_ids[k]) tasks[k] = &st;
+  });
+  return tasks;
+}
+
+/// The loop-body statements of one pipeline stage, in stage order.
+std::vector<const Stmt*> stage_statements(const LoopPlan& plan,
+                                          const patterns::StageSpec& spec) {
+  std::vector<const Stmt*> out;
+  for (int id : spec.stmt_ids)
+    for (const Stmt* st : plan.body)
+      if (st->id == id) out.push_back(st);
+  return out;
+}
+
 }  // namespace
 
 struct ParallelPlanExecutor::Impl {
@@ -383,21 +407,11 @@ struct ParallelPlanExecutor::Impl {
       return false;
     }
 
-    // Map statement ids to statement pointers per stage.
-    auto stmts_of = [&](const patterns::StageSpec& spec) {
-      std::vector<const Stmt*> out;
-      for (int id : spec.stmt_ids) {
-        for (const Stmt* st : plan.body)
-          if (st->id == id) out.push_back(st);
-      }
-      return out;
-    };
-
     std::vector<rt::Pipeline<Elem>::Stage> rt_stages;
     for (const auto& section : c.sections) {
       if (section.size() == 1) {
         const patterns::StageSpec& spec = c.stages[section[0]];
-        std::vector<const Stmt*> stmts = stmts_of(spec);
+        std::vector<const Stmt*> stmts = stage_statements(plan, spec);
         int replication = spec.replicable
                               ? static_cast<int>(param(
                                     c, ".stage" + spec.label + ".replication", 1))
@@ -416,7 +430,7 @@ struct ParallelPlanExecutor::Impl {
         std::vector<std::vector<const Stmt*>> groups;
         std::string name = "(";
         for (std::size_t k = 0; k < section.size(); ++k) {
-          groups.push_back(stmts_of(c.stages[section[k]]));
+          groups.push_back(stage_statements(plan, c.stages[section[k]]));
           if (k) name += "||";
           name += c.stages[section[k]].label;
         }
@@ -424,7 +438,7 @@ struct ParallelPlanExecutor::Impl {
         rt::Pipeline<Elem>::Stage stage;
         stage.name = std::move(name);
         // Dedicated crew sized to the section: the shared pool may have as
-        // few as one thread (hardware_concurrency), which would serialize
+        // few as one thread (rt::hardware_threads()), which would serialize
         // the section's independent filters.
         const int crew = static_cast<int>(groups.size());
         stage.fn = [this, &in, groups, crew](Elem& e) {
@@ -545,22 +559,13 @@ struct ParallelPlanExecutor::Impl {
 
   bool run_master_worker(const LoopPlan& plan, Frame& frame, Interpreter& in) {
     const Candidate& c = *plan.candidate;
-    // Locate the task statements (they live in the same block).
-    std::vector<const Stmt*> tasks_stmts;
-    for (int id : c.task_stmt_ids) {
-      const Stmt* found = nullptr;
-      for (const auto& cls : program.classes) {
-        for (const auto& m : cls->methods) {
-          lang::for_each_stmt(*m->body, [&](const Stmt& st) {
-            if (st.id == id) found = &st;
-          });
-        }
-      }
-      if (!found) {
+    const std::vector<const Stmt*> tasks_stmts =
+        task_statements(method_containing(program, c.anchor->id), c);
+    for (const Stmt* st : tasks_stmts) {
+      if (!st) {
         note_fallback(c, "task statement not found");
         return false;
       }
-      tasks_stmts.push_back(found);
     }
     std::set<int> own_ids(c.task_stmt_ids.begin(), c.task_stmt_ids.end());
     rt::MasterWorker mw(static_cast<int>(param(c, ".workers", 0)));
@@ -682,16 +687,11 @@ std::vector<RegionShape> plan_region_shapes(
     shape.method = method_containing(program, c.anchor->id);
 
     if (c.kind == PatternKind::MasterWorker) {
-      for (std::size_t k = 0; k < c.task_stmt_ids.size(); ++k) {
+      const std::vector<const Stmt*> tasks = task_statements(shape.method, c);
+      for (std::size_t k = 0; k < tasks.size(); ++k) {
         StageShape stage;
         stage.label = "task" + std::to_string(k);
-        const Stmt* st = nullptr;
-        if (shape.method) {
-          lang::for_each_stmt(*shape.method->body, [&](const Stmt& s) {
-            if (s.id == c.task_stmt_ids[k]) st = &s;
-          });
-        }
-        if (st) stage.stmts.push_back(st);
+        if (tasks[k]) stage.stmts.push_back(tasks[k]);
         shape.stages.push_back(std::move(stage));
       }
       shapes.push_back(std::move(shape));
@@ -720,20 +720,13 @@ std::vector<RegionShape> plan_region_shapes(
       // of a multi-member section run concurrently even on the same
       // element (the executor gives the section a worker crew); the
       // detector only groups stages it proved mutually independent.
-      auto stmts_of = [&](const patterns::StageSpec& spec) {
-        std::vector<const Stmt*> out;
-        for (int id : spec.stmt_ids)
-          for (const Stmt* st : plan.body)
-            if (st->id == id) out.push_back(st);
-        return out;
-      };
       for (const auto& section : c.sections) {
         for (int idx : section) {
           const patterns::StageSpec& spec =
               c.stages[static_cast<std::size_t>(idx)];
           StageShape stage;
           stage.label = spec.label;
-          stage.stmts = stmts_of(spec);
+          stage.stmts = stage_statements(plan, spec);
           if (spec.replicable) {
             stage.replication = static_cast<int>(tuned_param(
                 c, tuning, ".stage" + spec.label + ".replication", 1));

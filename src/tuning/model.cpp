@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
-#include <map>
 #include <set>
-#include <thread>
 
 #include "observe/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tuning/search_internal.hpp"
 
 namespace patty::tuning {
@@ -43,6 +43,25 @@ std::string knob_prefix_of(const std::string& name) {
   return "";
 }
 
+// ---- Knob slots -----------------------------------------------------------
+
+/// Slot of a knob the bound space lacks: the model's default applies.
+constexpr int kAbsent = -1;
+
+/// Position of `name` in the sorted `names`, or kAbsent.
+int slot_of(const std::vector<std::string>& names, const std::string& name) {
+  const auto it = std::lower_bound(names.begin(), names.end(), name);
+  return it != names.end() && *it == name
+             ? static_cast<int>(it - names.begin())
+             : kAbsent;
+}
+
+/// The knob value in `slot`, or the model's default for an absent knob.
+std::int64_t knob(const std::int64_t* values, int slot,
+                  std::int64_t fallback) {
+  return slot == kAbsent ? fallback : values[slot];
+}
+
 // ---- Pipeline model -------------------------------------------------------
 
 class PipelineModel final : public CostModel {
@@ -51,82 +70,24 @@ class PipelineModel final : public CostModel {
 
   [[nodiscard]] std::string family() const override { return "pipeline"; }
 
-  [[nodiscard]] double predict(const rt::TuningConfig& k,
-                               const Hardware& hw) const override {
+  [[nodiscard]] std::unique_ptr<BoundCost> bind(
+      const std::vector<std::string>& names) const override {
+    auto b = std::make_unique<Bound>(p_);
     const std::string& px = p_.knob_prefix;
-    const double n = std::max(1.0, p_.elements);
-    // Effective per-stage service: own body plus the nested region's
-    // predicted cost per outer item (TADL composition).
-    std::vector<double> svc(p_.stages.size(), 0.0);
-    double total_svc = 0.0;
-    for (std::size_t i = 0; i < p_.stages.size(); ++i) {
-      svc[i] = p_.stages[i].service_us +
-               (p_.stages[i].inner ? p_.stages[i].inner->predict(k, hw) : 0.0);
-      total_svc += svc[i];
-    }
-    if (k.get_bool_or(px + "sequential", false))
-      return p_.startup_us + n * total_svc;
-
-    // StageFusion merges adjacent stages (chains merge runs), mirroring the
-    // runtime Pipeline: service times sum, replication takes the max of the
-    // members' knobs (non-replicable members pin theirs at 1), and order
-    // preservation is ORed across replicated members.
-    struct Group {
-      double service = 0.0;
-      double replication = 1.0;
-      bool ordered = false;
-    };
-    std::vector<Group> groups;
+    b->sequential = slot_of(names, px + "sequential");
+    b->batch = slot_of(names, px + "batch");
+    b->buffer = slot_of(names, px + "buffer");
     for (std::size_t i = 0; i < p_.stages.size(); ++i) {
       const StageCost& st = p_.stages[i];
-      double r = 1.0;
-      bool ordered = false;
-      if (st.replicable) {
-        r = static_cast<double>(std::max<std::int64_t>(
-            1, k.get_or(px + "stage" + st.label + ".replication", 1)));
-        ordered = r > 1.0 &&
-                  k.get_bool_or(px + "stage" + st.label + ".order", true);
-      }
-      const bool fused =
-          i > 0 && k.get_bool_or(
-                       px + "fuse" + p_.stages[i - 1].label + st.label, false);
-      if (fused && !groups.empty()) {
-        Group& g = groups.back();
-        g.service += svc[i];
-        g.replication = std::max(g.replication, r);
-        g.ordered = g.ordered || ordered;
-      } else {
-        groups.push_back({svc[i], r, ordered});
-      }
+      Bound::Stage& s = b->stages.emplace_back();
+      s.replication = slot_of(names, px + "stage" + st.label + ".replication");
+      s.order = slot_of(names, px + "stage" + st.label + ".order");
+      if (i > 0)
+        s.fuse_prev =
+            slot_of(names, px + "fuse" + p_.stages[i - 1].label + st.label);
+      if (st.inner) s.inner = st.inner->bind(names);
     }
-
-    const double batch =
-        static_cast<double>(std::max<std::int64_t>(1, k.get_or(px + "batch", 1)));
-    const double buffer = static_cast<double>(
-        std::max<std::int64_t>(1, k.get_or(px + "buffer", 16)));
-    // Queue hop per item per edge: batching divides it, shallow buffers add
-    // back-pressure stalls on top.
-    const double transfer =
-        p_.transfer_us * (1.0 / batch) * (1.0 + 2.0 / buffer);
-    const double edges = static_cast<double>(groups.size() - 1);
-
-    double workers = 0.0;
-    double fill = 0.0;
-    double work = edges * transfer;  // per-item serial work
-    double bottleneck = 0.0;
-    for (const Group& g : groups) {
-      workers += g.replication;
-      fill += g.service;
-      const double reorder = g.ordered ? p_.reorder_us : 0.0;
-      work += g.service + reorder;
-      bottleneck = std::max(bottleneck, g.service / g.replication + reorder);
-    }
-    if (edges > 0.0) bottleneck += transfer;
-
-    const double c = static_cast<double>(hw.effective());
-    double per_item = std::max(bottleneck, work / c);
-    if (workers > c) per_item += p_.oversub_us * (workers - c);
-    return p_.startup_us * workers + fill + n * per_item;
+    return b;
   }
 
   [[nodiscard]] std::string describe() const override {
@@ -143,6 +104,100 @@ class PipelineModel final : public CostModel {
   }
 
  private:
+  struct Bound final : BoundCost {
+    struct Stage {
+      int replication = kAbsent;
+      int order = kAbsent;
+      int fuse_prev = kAbsent;  // fuse<previous label><label>; not stage 0
+      std::unique_ptr<BoundCost> inner;
+    };
+    const PipelineModelParams& p;
+    int sequential = kAbsent;
+    int batch = kAbsent;
+    int buffer = kAbsent;
+    std::vector<Stage> stages;
+
+    explicit Bound(const PipelineModelParams& params) : p(params) {}
+
+    /// Effective per-stage service: own body plus the nested region's
+    /// predicted cost per outer item (TADL composition).
+    double service(std::size_t i, const std::int64_t* v, double c) const {
+      return p.stages[i].service_us +
+             (stages[i].inner ? stages[i].inner->cost(v, c) : 0.0);
+    }
+
+    [[nodiscard]] double cost(const std::int64_t* v,
+                              double c) const override {
+      const double n = std::max(1.0, p.elements);
+      if (knob(v, sequential, 0) != 0) {
+        double total_svc = 0.0;
+        for (std::size_t i = 0; i < stages.size(); ++i)
+          total_svc += service(i, v, c);
+        return p.startup_us + n * total_svc;
+      }
+
+      // StageFusion merges adjacent stages (chains merge runs), mirroring
+      // the runtime Pipeline: service times sum, replication takes the max
+      // of the members' knobs (non-replicable members pin theirs at 1), and
+      // order preservation is ORed across replicated members.
+      std::size_t groups = 0;
+      for (std::size_t i = 0; i < stages.size(); ++i)
+        if (knob(v, stages[i].fuse_prev, 0) == 0) ++groups;
+
+      const double batch_n =
+          static_cast<double>(std::max<std::int64_t>(1, knob(v, batch, 1)));
+      const double buffer_n =
+          static_cast<double>(std::max<std::int64_t>(1, knob(v, buffer, 16)));
+      // Queue hop per item per edge: batching divides it, shallow buffers
+      // add back-pressure stalls on top.
+      const double transfer =
+          p.transfer_us * (1.0 / batch_n) * (1.0 + 2.0 / buffer_n);
+      const double edges = static_cast<double>(groups - 1);
+
+      double workers = 0.0;
+      double fill = 0.0;
+      double work = edges * transfer;  // per-item serial work
+      double bottleneck = 0.0;
+      // The group being merged; folded into the totals once it closes.
+      double g_service = 0.0;
+      double g_replication = 1.0;
+      bool g_ordered = false;
+      auto fold = [&] {
+        workers += g_replication;
+        fill += g_service;
+        const double reorder = g_ordered ? p.reorder_us : 0.0;
+        work += g_service + reorder;
+        bottleneck = std::max(bottleneck, g_service / g_replication + reorder);
+      };
+      for (std::size_t i = 0; i < stages.size(); ++i) {
+        double r = 1.0;
+        bool ordered = false;
+        if (p.stages[i].replicable) {
+          r = static_cast<double>(std::max<std::int64_t>(
+              1, knob(v, stages[i].replication, 1)));
+          ordered = r > 1.0 && knob(v, stages[i].order, 1) != 0;
+        }
+        const double svc = service(i, v, c);
+        if (knob(v, stages[i].fuse_prev, 0) != 0) {
+          g_service += svc;
+          g_replication = std::max(g_replication, r);
+          g_ordered = g_ordered || ordered;
+        } else {
+          if (i > 0) fold();
+          g_service = svc;
+          g_replication = r;
+          g_ordered = ordered;
+        }
+      }
+      if (!stages.empty()) fold();
+      if (edges > 0.0) bottleneck += transfer;
+
+      double per_item = std::max(bottleneck, work / c);
+      if (workers > c) per_item += p.oversub_us * (workers - c);
+      return p.startup_us * workers + fill + n * per_item;
+    }
+  };
+
   PipelineModelParams p_;
 };
 
@@ -154,30 +209,14 @@ class LoopModel final : public CostModel {
 
   [[nodiscard]] std::string family() const override { return "loop"; }
 
-  [[nodiscard]] double predict(const rt::TuningConfig& k,
-                               const Hardware& hw) const override {
-    const std::string& px = p_.knob_prefix;
-    const double n = std::max(1.0, p_.elements);
-    const double iter =
-        p_.iter_us + (p_.inner ? p_.inner->predict(k, hw) : 0.0);
-    if (k.get_bool_or(px + "sequential", false))
-      return p_.startup_us + n * iter;
-    const double c = static_cast<double>(hw.effective());
-    double t = static_cast<double>(k.get_or(px + "threads", 0));
-    if (t <= 0.0) t = c;
-    const double e = std::max(1.0, std::min(t, c));
-    if (e <= 1.0) return p_.startup_us + n * iter;
-    double g = static_cast<double>(k.get_or(px + "grain", 0));
-    // Auto grain mirrors the runtime: ~8 chunks per thread, floor 1.
-    if (g <= 0.0) g = std::max(1.0, std::floor(n / (t * 8.0)));
-    g = std::min(g, n);
-    const double chunks = std::ceil(n / g);
-    // Perfect split of the work, plus spawn/steal per chunk, plus the tail:
-    // the last chunk straggles for up to one grain while e-1 threads idle.
-    double cost = n * iter / e + chunks * p_.spawn_us +
-                  g * iter * (e - 1.0) / e + p_.startup_us * e;
-    if (t > c) cost += (t - c) * p_.spawn_us;  // oversubscription nuisance
-    return cost;
+  [[nodiscard]] std::unique_ptr<BoundCost> bind(
+      const std::vector<std::string>& names) const override {
+    auto b = std::make_unique<Bound>(p_);
+    b->sequential = slot_of(names, p_.knob_prefix + "sequential");
+    b->threads = slot_of(names, p_.knob_prefix + "threads");
+    b->grain = slot_of(names, p_.knob_prefix + "grain");
+    if (p_.inner) b->inner = p_.inner->bind(names);
+    return b;
   }
 
   [[nodiscard]] std::string describe() const override {
@@ -189,6 +228,39 @@ class LoopModel final : public CostModel {
   }
 
  private:
+  struct Bound final : BoundCost {
+    const LoopModelParams& p;
+    int sequential = kAbsent;
+    int threads = kAbsent;
+    int grain = kAbsent;
+    std::unique_ptr<BoundCost> inner;
+
+    explicit Bound(const LoopModelParams& params) : p(params) {}
+
+    [[nodiscard]] double cost(const std::int64_t* v,
+                              double c) const override {
+      const double n = std::max(1.0, p.elements);
+      const double iter = p.iter_us + (inner ? inner->cost(v, c) : 0.0);
+      if (knob(v, sequential, 0) != 0) return p.startup_us + n * iter;
+      double t = static_cast<double>(knob(v, threads, 0));
+      if (t <= 0.0) t = c;
+      const double e = std::max(1.0, std::min(t, c));
+      if (e <= 1.0) return p.startup_us + n * iter;
+      double g = static_cast<double>(knob(v, grain, 0));
+      // Auto grain mirrors the runtime: ~8 chunks per thread, floor 1.
+      if (g <= 0.0) g = std::max(1.0, std::floor(n / (t * 8.0)));
+      g = std::min(g, n);
+      const double chunks = std::ceil(n / g);
+      // Perfect split of the work, plus spawn/steal per chunk, plus the
+      // tail: the last chunk straggles for up to one grain while e-1
+      // threads idle.
+      double cost = n * iter / e + chunks * p.spawn_us +
+                    g * iter * (e - 1.0) / e + p.startup_us * e;
+      if (t > c) cost += (t - c) * p.spawn_us;  // oversubscription nuisance
+      return cost;
+    }
+  };
+
   LoopModelParams p_;
 };
 
@@ -200,19 +272,11 @@ class MasterWorkerModel final : public CostModel {
 
   [[nodiscard]] std::string family() const override { return "master-worker"; }
 
-  [[nodiscard]] double predict(const rt::TuningConfig& k,
-                               const Hardware& hw) const override {
-    const std::string& px = p_.knob_prefix;
-    const double t = std::max(1.0, p_.tasks);
-    const double c = static_cast<double>(hw.effective());
-    double w = static_cast<double>(k.get_or(px + "workers", 0));
-    if (w <= 0.0) w = c;  // 0 = shared pool: one lane per hardware thread
-    const double e = std::max(1.0, std::min({w, c, t}));
-    if (e <= 1.0) return p_.startup_us + t * (p_.task_us + p_.dispatch_us);
-    // Service shared across e effective workers; every task still pays the
-    // injector hop, which contends harder the more workers poll it.
-    return p_.startup_us * w + t * p_.task_us / e +
-           t * p_.dispatch_us * (1.0 + p_.contention * std::max(0.0, w - 1.0));
+  [[nodiscard]] std::unique_ptr<BoundCost> bind(
+      const std::vector<std::string>& names) const override {
+    auto b = std::make_unique<Bound>(p_);
+    b->workers = slot_of(names, p_.knob_prefix + "workers");
+    return b;
   }
 
   [[nodiscard]] std::string describe() const override {
@@ -223,6 +287,27 @@ class MasterWorkerModel final : public CostModel {
   }
 
  private:
+  struct Bound final : BoundCost {
+    const MasterWorkerModelParams& p;
+    int workers = kAbsent;
+
+    explicit Bound(const MasterWorkerModelParams& params) : p(params) {}
+
+    [[nodiscard]] double cost(const std::int64_t* v,
+                              double c) const override {
+      const double t = std::max(1.0, p.tasks);
+      double w = static_cast<double>(knob(v, workers, 0));
+      if (w <= 0.0) w = c;  // 0 = shared pool: one lane per hardware thread
+      const double e = std::max(1.0, std::min({w, c, t}));
+      if (e <= 1.0) return p.startup_us + t * (p.task_us + p.dispatch_us);
+      // Service shared across e effective workers; every task still pays
+      // the injector hop, which contends harder the more workers poll it.
+      return p.startup_us * w + t * p.task_us / e +
+             t * p.dispatch_us *
+                 (1.0 + p.contention * std::max(0.0, w - 1.0));
+    }
+  };
+
   MasterWorkerModelParams p_;
 };
 
@@ -235,11 +320,11 @@ class SumModel final : public CostModel {
 
   [[nodiscard]] std::string family() const override { return "sum"; }
 
-  [[nodiscard]] double predict(const rt::TuningConfig& k,
-                               const Hardware& hw) const override {
-    double total = 0.0;
-    for (const auto& p : parts_) total += p->predict(k, hw);
-    return total;
+  [[nodiscard]] std::unique_ptr<BoundCost> bind(
+      const std::vector<std::string>& names) const override {
+    auto b = std::make_unique<Bound>();
+    for (const auto& part : parts_) b->parts.push_back(part->bind(names));
+    return b;
   }
 
   [[nodiscard]] std::string describe() const override {
@@ -252,15 +337,36 @@ class SumModel final : public CostModel {
   }
 
  private:
+  struct Bound final : BoundCost {
+    std::vector<std::unique_ptr<BoundCost>> parts;
+
+    [[nodiscard]] double cost(const std::int64_t* v,
+                              double c) const override {
+      double total = 0.0;
+      for (const auto& part : parts) total += part->cost(v, c);
+      return total;
+    }
+  };
+
   std::vector<std::shared_ptr<const CostModel>> parts_;
 };
 
 }  // namespace
 
 int Hardware::effective() const {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return threads > 0 ? threads : rt::hardware_threads();
+}
+
+double CostModel::predict(const rt::TuningConfig& knobs,
+                          const Hardware& hw) const {
+  std::vector<std::string> names;
+  std::vector<std::int64_t> values;
+  for (const auto& [name, p] : knobs.params()) {
+    names.push_back(name);
+    values.push_back(p.value);
+  }
+  return bind(names)->cost(values.data(),
+                           static_cast<double>(hw.effective()));
 }
 
 std::unique_ptr<CostModel> make_pipeline_model(PipelineModelParams params) {
@@ -372,9 +478,78 @@ double mean_relative_error(
   return err / static_cast<double>(points.size());
 }
 
-// ---- Design-time prediction -----------------------------------------------
+// ---- Searching a knob space by prediction ---------------------------------
 
 namespace {
+
+struct PredictedBest {
+  std::vector<std::size_t> idx;
+  double cost = 0.0;
+  double start_cost = 0.0;
+};
+
+using VisitFn = std::function<void(double, const std::vector<std::size_t>&)>;
+
+/// The predicted-best point of `space` under `bound`, searched from
+/// `start`. A space of at most `cap` points is enumerated in full, in
+/// odometer order; a larger one is searched by prediction-only coordinate
+/// descent from `start` (free, so it sweeps until a fixpoint), predicting
+/// each point it reaches once. `visit(cost, idx)` sees every predicted
+/// point, the descent's `start` first. Ties keep the earlier point, and
+/// `start` before any other.
+PredictedBest predict_best(const BoundCost& bound, const detail::Space& space,
+                           double threads,
+                           const std::vector<std::size_t>& start,
+                           std::uint64_t cap, const VisitFn& visit = {}) {
+  std::vector<std::int64_t> values(space.dims());
+  auto cost_at = [&](const std::vector<std::size_t>& idx) {
+    for (std::size_t d = 0; d < space.dims(); ++d)
+      values[d] = space.domains[d][idx[d]];
+    return bound.cost(values.data(), threads);
+  };
+  PredictedBest best{start, cost_at(start), 0.0};
+  best.start_cost = best.cost;
+  auto consider = [&](double cost, const std::vector<std::size_t>& idx) {
+    if (visit) visit(cost, idx);
+    if (cost < best.cost) {
+      best.cost = cost;
+      best.idx = idx;
+    }
+  };
+
+  if (space.dims() > 0 && space.size() <= cap) {
+    std::vector<std::size_t> idx(space.dims(), 0);
+    while (true) {
+      consider(cost_at(idx), idx);
+      std::size_t d = 0;
+      while (d < space.dims() && ++idx[d] == space.domains[d].size()) {
+        idx[d] = 0;
+        ++d;
+      }
+      if (d == space.dims()) return best;
+    }
+  }
+
+  if (visit) visit(best.cost, start);
+  std::set<std::vector<std::size_t>> visited{start};
+  bool improved = true;
+  while (improved) {
+    improved = false;
+    for (std::size_t d = 0; d < space.dims(); ++d) {
+      const std::vector<std::size_t> cur = best.idx;
+      for (std::size_t i = 0; i < space.domains[d].size(); ++i) {
+        if (i == cur[d]) continue;
+        std::vector<std::size_t> probe = cur;
+        probe[d] = i;
+        if (visited.insert(probe).second) consider(cost_at(probe), probe);
+      }
+      if (best.idx != cur) improved = true;
+    }
+  }
+  return best;
+}
+
+// ---- Design-time prediction -----------------------------------------------
 
 /// Nominal units for design-time models: the profiler gives runtime SHARES,
 /// not absolute times, so one loop-body item is normalized to 100us and the
@@ -431,77 +606,36 @@ std::shared_ptr<const CostModel> candidate_model_scaled(
   return nullptr;
 }
 
-/// Enumerate (or coordinate-descend, for huge spaces) the config's domain
-/// under `model` and report the predicted best against the sequential cost.
+/// Search the config's domain under `model` and report the predicted best
+/// against the sequential cost.
 SpeedupPrediction predict_over_space(
     const std::shared_ptr<const CostModel>& model, rt::TuningConfig config,
     const std::string& prefix, const Hardware& hw) {
   SpeedupPrediction out;
   if (!model) return out;
+  const detail::Space space(config);
+  const std::unique_ptr<BoundCost> bound = model->bind(space.names);
+  const double threads = static_cast<double>(hw.effective());
   // Sequential reference: the pattern's own escape hatch (the sequential
   // knob, or a single worker for master/worker).
-  rt::TuningConfig seq = config;
-  if (seq.has(prefix + "sequential")) seq.set(prefix + "sequential", 1);
-  if (seq.has(prefix + "workers")) seq.set(prefix + "workers", 1);
-  if (seq.has(prefix + "threads")) seq.set(prefix + "threads", 1);
-  out.sequential_cost = model->predict(seq, hw);
-
-  const detail::Space space(config);
-  rt::TuningConfig scratch = config;
-  auto predict_idx = [&](const std::vector<std::size_t>& idx) {
-    space.apply(idx, &scratch);
-    return model->predict(scratch, hw);
-  };
-  std::vector<std::size_t> best = space.indices_of(config);
-  double best_cost = predict_idx(best);
-  const std::uint64_t total = space.size();
-  if (space.dims() > 0 && total <= 4096) {
-    std::vector<std::size_t> idx(space.dims(), 0);
-    while (true) {
-      const double cost = predict_idx(idx);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = idx;
-      }
-      std::size_t d = 0;
-      while (d < space.dims() && ++idx[d] == space.domains[d].size()) {
-        idx[d] = 0;
-        ++d;
-      }
-      if (d == space.dims()) break;
-    }
-  } else if (space.dims() > 0) {
-    // Prediction-only coordinate descent: free, so sweep until fixpoint.
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (std::size_t d = 0; d < space.dims(); ++d) {
-        std::size_t best_i = best[d];
-        for (std::size_t i = 0; i < space.domains[d].size(); ++i) {
-          if (i == best[d]) continue;
-          std::vector<std::size_t> probe = best;
-          probe[d] = i;
-          const double cost = predict_idx(probe);
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_i = i;
-          }
-        }
-        if (best_i != best[d]) {
-          best[d] = best_i;
-          improved = true;
-        }
-      }
-    }
+  std::vector<std::int64_t> seq;
+  for (const auto& [name, p] : config.params()) seq.push_back(p.value);
+  for (const char* escape : {"sequential", "workers", "threads"}) {
+    const int slot = slot_of(space.names, prefix + escape);
+    if (slot != kAbsent) seq[static_cast<std::size_t>(slot)] = 1;
   }
-  space.apply(best, &config);
+  out.sequential_cost = bound->cost(seq.data(), threads);
+
+  const PredictedBest best =
+      predict_best(*bound, space, threads, space.indices_of(config), 4096);
+  space.apply(best.idx, &config);
   out.best = config;
-  out.best_cost = best_cost;
+  out.best_cost = best.cost;
   out.speedup =
-      best_cost > 0.0 ? std::max(1.0, out.sequential_cost / best_cost) : 1.0;
+      best.cost > 0.0 ? std::max(1.0, out.sequential_cost / best.cost) : 1.0;
   out.summary = model->family() + ": predicted " + num(out.speedup) +
                 "x on " + std::to_string(hw.effective()) + " threads (" +
-                num(out.sequential_cost) + "us -> " + num(best_cost) + "us)";
+                num(out.sequential_cost) + "us -> " + num(best.cost) + "us)";
   return out;
 }
 
@@ -720,62 +854,20 @@ class ModelGuidedTuner final : public Tuner {
     info.probe_evaluations = 1;
 
     // Rank the WHOLE space by prediction (no measurements), then validate
-    // one representative per distinct predicted score, best first.
-    rt::TuningConfig scratch = config;
-    auto predict_idx = [&](const std::vector<std::size_t>& idx) {
-      space.apply(idx, &scratch);
-      return model->predict(scratch, hw);
-    };
-    const double pred_start = predict_idx(start);
+    // one representative per distinct predicted score, best first. Too big
+    // to enumerate: rank every point the prediction-only descent visits.
+    std::vector<std::pair<double, std::vector<std::size_t>>> ranked;
+    const std::unique_ptr<BoundCost> bound = model->bind(space.names);
+    const double pred_start =
+        predict_best(*bound, space, static_cast<double>(hw.effective()),
+                     start, opts_.max_enumeration,
+                     [&ranked](double pred,
+                               const std::vector<std::size_t>& idx) {
+                       ranked.emplace_back(pred, idx);
+                     })
+            .start_cost;
     info.scale = pred_start > 0.0 ? probe_score / pred_start : 1.0;
     info.predicted_default = info.scale * pred_start;
-
-    std::vector<std::pair<double, std::vector<std::size_t>>> ranked;
-    const std::uint64_t total = space.size();
-    if (space.dims() > 0 && total <= opts_.max_enumeration) {
-      ranked.reserve(static_cast<std::size_t>(total));
-      std::vector<std::size_t> idx(space.dims(), 0);
-      while (true) {
-        ranked.emplace_back(predict_idx(idx), idx);
-        std::size_t d = 0;
-        while (d < space.dims() && ++idx[d] == space.domains[d].size()) {
-          idx[d] = 0;
-          ++d;
-        }
-        if (d == space.dims()) break;
-      }
-    } else {
-      // Too big to enumerate: prediction-only coordinate descent from the
-      // start, ranking every point the descent visits.
-      std::set<std::vector<std::size_t>> visited;
-      std::vector<std::size_t> cur = start;
-      double cur_pred = pred_start;
-      visited.insert(cur);
-      ranked.emplace_back(cur_pred, cur);
-      bool improved = true;
-      while (improved) {
-        improved = false;
-        for (std::size_t d = 0; d < space.dims(); ++d) {
-          std::size_t best_i = cur[d];
-          for (std::size_t i = 0; i < space.domains[d].size(); ++i) {
-            if (i == cur[d]) continue;
-            std::vector<std::size_t> probe = cur;
-            probe[d] = i;
-            if (!visited.insert(probe).second) continue;
-            const double pred = predict_idx(probe);
-            ranked.emplace_back(pred, probe);
-            if (pred < cur_pred) {
-              cur_pred = pred;
-              best_i = i;
-            }
-          }
-          if (best_i != cur[d]) {
-            cur[d] = best_i;
-            improved = true;
-          }
-        }
-      }
-    }
     std::sort(ranked.begin(), ranked.end());
 
     info.predicted_best = info.scale * ranked.front().first;

@@ -24,7 +24,14 @@
 // The same models answer "predicted speedup before transformation": see
 // predict_candidate_speedup / annotate_predicted_speedups, which work from
 // the profiler's runtime shares alone (design-time, no telemetry needed).
+//
+// Enumerating a space binds the model once (CostModel::bind): every knob
+// it and its nested models read becomes a slot of the space's name-sorted
+// value vector, so a knob point costs tens of nanoseconds, with no string
+// built and no map searched. predict() is the same formula, bound for one
+// call.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -38,11 +45,25 @@
 
 namespace patty::tuning {
 
-/// The machine the prediction is for. threads == 0 resolves to
-/// std::thread::hardware_concurrency() (minimum 1).
+/// The machine the prediction is for. threads == 0 resolves to the
+/// machine's hardware thread count (minimum 1), which the runtime reads
+/// once per process (rt::hardware_threads()).
 struct Hardware {
   int threads = 0;
   [[nodiscard]] int effective() const;
+};
+
+/// A cost model resolved against one knob space (CostModel::bind).
+class BoundCost {
+ public:
+  BoundCost() = default;
+  BoundCost(const BoundCost&) = delete;
+  BoundCost& operator=(const BoundCost&) = delete;
+  virtual ~BoundCost() = default;
+  /// Predicted cost at one point of the space: `values[s]` is the value of
+  /// the space's s-th knob name, `threads` is Hardware::effective().
+  [[nodiscard]] virtual double cost(const std::int64_t* values,
+                                    double threads) const = 0;
 };
 
 class CostModel {
@@ -53,9 +74,15 @@ class CostModel {
   /// Predicted wall-clock cost (microseconds) of running the modeled
   /// region's whole stream under `knobs` on `hw`. Only relative order
   /// matters to the tuner; absolute units are calibrated against one
-  /// measured probe.
-  [[nodiscard]] virtual double predict(const rt::TuningConfig& knobs,
-                                       const Hardware& hw) const = 0;
+  /// measured probe. Binds to `knobs` for this one call.
+  [[nodiscard]] double predict(const rt::TuningConfig& knobs,
+                               const Hardware& hw) const;
+  /// Resolve every knob this model and its nested models read to its slot
+  /// in `names` (sorted, as TuningConfig::params() orders them). A knob the
+  /// names lack reads as the model's default. The result refers to this
+  /// model, which must outlive it.
+  [[nodiscard]] virtual std::unique_ptr<BoundCost> bind(
+      const std::vector<std::string>& names) const = 0;
   /// Fitted parameters, one line, for explain_model().
   [[nodiscard]] virtual std::string describe() const = 0;
 };
@@ -70,7 +97,7 @@ struct StageCost {
   /// Nested region inside this stage (TADL nesting): predicts the cost of
   /// the inner region PER OUTER ITEM under the same TuningConfig (the inner
   /// knobs live there under their own prefix). Composition rule: the
-  /// stage's effective service time is service_us + inner->predict(...).
+  /// stage's effective service time is service_us + the inner prediction.
   std::shared_ptr<const CostModel> inner;
 };
 

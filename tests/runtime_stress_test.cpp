@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -325,12 +326,27 @@ TEST_P(StageQueueContract, TryPopNonBlocking) {
   EXPECT_FALSE(q->try_pop().has_value());
 }
 
+/// Waits until `waits()` reads at least 1, for at most 5 s. The queue counts
+/// a blocking episode before it parks, so a true result means the other
+/// thread has committed to parking.
+template <typename Waits>
+bool counted_a_wait(Waits waits) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (waits() < 1) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 TEST_P(StageQueueContract, BlockedPushWakesOnPopAndCountsFullWait) {
   auto q = make(1);
   EXPECT_TRUE(q->push(1));
   std::thread t([&] { EXPECT_TRUE(q->push(2)); });
-  // Give the pusher a moment to block, then make room.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Once the pusher has blocked, make room.
+  EXPECT_TRUE(counted_a_wait([&] { return q->stats().full_waits; }))
+      << "the pusher never blocked on the full queue";
   EXPECT_EQ(*q->pop(), 1);
   t.join();
   EXPECT_EQ(*q->pop(), 2);
@@ -341,7 +357,8 @@ TEST_P(StageQueueContract, BlockedPushWakesOnPopAndCountsFullWait) {
 TEST_P(StageQueueContract, BlockedPopWakesOnCloseAndCountsEmptyWait) {
   auto q = make(4);
   std::thread t([&] { EXPECT_FALSE(q->pop().has_value()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(counted_a_wait([&] { return q->stats().empty_waits; }))
+      << "the popper never blocked on the empty queue";
   q->close();
   t.join();
   EXPECT_GE(q->stats().empty_waits, 1u);

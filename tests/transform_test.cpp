@@ -9,6 +9,7 @@
 #include <set>
 
 #include "analysis/semantic_model.hpp"
+#include "corpus/corpus.hpp"
 #include "lang/printer.hpp"
 #include "lang/sema.hpp"
 #include "patterns/detector.hpp"
@@ -16,6 +17,7 @@
 #include "transform/codegen.hpp"
 #include "transform/plan.hpp"
 #include "transform/testgen.hpp"
+#include "tuning/model.hpp"
 
 namespace patty::transform {
 namespace {
@@ -254,6 +256,38 @@ class Main {
   ParallelPlanExecutor executor(*program, detection.candidates, nullptr);
   executor.run_main();
   EXPECT_EQ(executor.output(), ref.output());
+}
+
+TEST(PlanTest, HandwrittenPredictedSpeedupsAreGolden) {
+  // The design-time speedup of every handwritten candidate at 4 hardware
+  // threads. How a prediction is computed may change; its value may not,
+  // unless detection or the model formulas change on purpose.
+  const std::map<std::string, std::vector<double>> golden = {
+      {"avistream",
+       {3.2470803585177932, 2.910493384031827, 3.7055250216951112}},
+      {"raytracer",
+       {3.7055250216951112, 3.8283582089552239, 3.7055250216951112,
+        3.7055250216951112, 1.5512465373961217, 3.7055250216951112}},
+      {"desktop_search", {3.7055250216951112}},
+      {"matrix",
+       {3.4972411149810956, 3.7055250216951112, 3.7055250216951112,
+        3.7055250216951112}},
+      {"histogram", {3.7055250216951112}},
+  };
+  for (const corpus::CorpusProgram* src : corpus::handwritten()) {
+    DiagnosticSink diags;
+    auto program = lang::parse_and_check(src->source, diags);
+    ASSERT_TRUE(program) << src->name << ": " << diags.to_string();
+    auto model = analysis::SemanticModel::build(*program);
+    std::vector<patterns::Candidate> candidates =
+        patterns::detect_all(*model).candidates;
+    tuning::annotate_predicted_speedups(candidates, tuning::Hardware{4});
+    const std::vector<double>& want = golden.at(src->name);
+    ASSERT_EQ(candidates.size(), want.size()) << src->name;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_DOUBLE_EQ(candidates[i].predicted_speedup, want[i])
+          << src->name << " candidate " << i;
+  }
 }
 
 // --- Codegen -----------------------------------------------------------------

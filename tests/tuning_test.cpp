@@ -324,6 +324,91 @@ TEST(CostModelTest, SumModelAddsIndependentRegions) {
   EXPECT_NEAR(sum->predict(config, hw), 2.0 * one, 1e-9);
 }
 
+TEST(CostModelTest, PinnedPredictionsOfANestedSpace) {
+  // One knob space, predicted at several points. Stage B holds a loop
+  // model under its own prefix; P.fuseAB fuses a pair; the space lacks
+  // P.batch (and other knobs the models read), so their defaults apply;
+  // Z.unread is read by no model. The expected costs pin the formulas:
+  // changing how knobs are read must not move them. The second column is
+  // the cost over the same space without P.stageB.replication, where that
+  // knob reads as the model's default.
+  LoopModelParams inner;
+  inner.knob_prefix = "L.";
+  inner.elements = 64.0;
+  inner.iter_us = 3.0;
+  PipelineModelParams outer;
+  outer.knob_prefix = "P.";
+  outer.elements = 100.0;
+  outer.stages = {{"A", 10.0, true, nullptr},
+                  {"B", 4.0, true,
+                   std::shared_ptr<const CostModel>(make_loop_model(inner))},
+                  {"C", 6.0, false, nullptr}};
+  const std::unique_ptr<CostModel> model = make_pipeline_model(outer);
+
+  rt::TuningConfig space;
+  auto add = [&space](const char* name, rt::TuningKind kind,
+                      std::int64_t value, std::int64_t min, std::int64_t max) {
+    rt::TuningParameter p;
+    p.name = name;
+    p.kind = kind;
+    p.value = value;
+    p.min = min;
+    p.max = max;
+    space.define(p);
+  };
+  add("L.grain", rt::TuningKind::Int, 0, 0, 16);
+  add("L.threads", rt::TuningKind::Int, 0, 0, 4);
+  add("P.buffer", rt::TuningKind::Int, 16, 1, 64);
+  add("P.fuseAB", rt::TuningKind::Bool, 0, 0, 1);
+  add("P.sequential", rt::TuningKind::Bool, 0, 0, 1);
+  add("P.stageA.replication", rt::TuningKind::Int, 1, 1, 4);
+  add("P.stageB.order", rt::TuningKind::Bool, 1, 0, 1);
+  add("P.stageB.replication", rt::TuningKind::Int, 1, 1, 4);
+  add("Z.unread", rt::TuningKind::Int, 0, 0, 9);
+
+  struct Point {
+    const char* what;
+    std::vector<std::pair<const char*, std::int64_t>> knobs;
+    int threads;
+    double expected;
+    double without_b_replication;
+  };
+  const std::vector<Point> points = {
+      {"defaults", {}, 4, 20529.0, 20529.0},
+      {"sequential", {{"P.sequential", 1}}, 4, 21700.0, 21700.0},
+      {"fused AB, replicated",
+       {{"P.fuseAB", 1}, {"P.stageA.replication", 3}, {"P.stageB.replication", 2}},
+       4, 7595.666666666667, 7595.666666666667},
+      {"unordered replicated B, shallow buffer",
+       {{"P.stageB.replication", 4}, {"P.stageB.order", 0}, {"P.buffer", 2}},
+       4, 6229.0, 20616.5},
+      {"inner loop knobs",
+       {{"L.threads", 4}, {"L.grain", 8}, {"P.stageA.replication", 2}}, 4,
+       17094.5, 17094.5},
+      {"oversubscribed on 2 threads",
+       {{"P.stageA.replication", 4}, {"P.stageB.replication", 4}, {"L.threads", 3}},
+       2, 12787.5, 21937.5},
+      {"unread knob", {{"Z.unread", 7}}, 4, 20529.0, 20529.0},
+  };
+  std::vector<std::string> names;
+  for (const auto& [name, p] : space.params())
+    if (name != "P.stageB.replication") names.push_back(name);
+  const std::unique_ptr<BoundCost> lacking = model->bind(names);
+  for (const Point& pt : points) {
+    rt::TuningConfig config = space;
+    for (const auto& [name, value] : pt.knobs) config.set(name, value);
+    EXPECT_DOUBLE_EQ(model->predict(config, Hardware{pt.threads}),
+                     pt.expected)
+        << pt.what;
+    std::vector<std::int64_t> values;
+    for (const std::string& name : names)
+      values.push_back(config.get_or(name, 0));
+    EXPECT_DOUBLE_EQ(lacking->cost(values.data(), pt.threads),
+                     pt.without_b_replication)
+        << pt.what;
+  }
+}
+
 TEST(ModelGuidedTunerTest, MatchesExhaustiveBestWithinFivePercent) {
   const Hardware hw{4};
   auto truth = truth_pipeline();
