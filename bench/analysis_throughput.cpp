@@ -207,12 +207,12 @@ int main(int argc, char** argv) {
   }
 
   // MHP certification coverage over the study corpus: how much of the
-  // transformed corpus the static pre-filter discharges without an explorer
-  // run, and what the explorer found in the residue (the indirect-scatter
-  // family is the detector's known false positive — those programs are
-  // *expected* to land in residue-raced; the `ctest -L mhp` gate asserts
-  // the exact split). Recorded so the gate's coverage is tracked
-  // PR-over-PR.
+  // transformed corpus the static pre-filter discharges, how the residue
+  // was decided, and how many probes needed the explorer (the
+  // indirect-scatter family is the detector's known false positive — those
+  // programs are *expected* to land in residue-raced; the `ctest -L mhp`
+  // gate asserts the exact split). Recorded so the gate's coverage is
+  // tracked PR-over-PR.
   std::printf("\n== MHP certification ==\n");
   const auto cert_t0 = Clock::now();
   const patty::transform::CorpusCertification certification =
@@ -224,9 +224,10 @@ int main(int argc, char** argv) {
               ct.programs + ct.errors, cert_secs, ct.certified_static,
               ct.certified_explored, ct.residue_raced, ct.errors);
   std::printf("  %zu conflict pairs: %zu ordered, %zu disjoint, "
-              "%zu private/fresh, %zu residue -> %zu probes (%zu raced)\n",
+              "%zu private/fresh, %zu residue -> %zu probes (%zu raced, "
+              "%zu explored)\n",
               ct.pairs, ct.ordered, ct.disjoint, ct.private_or_fresh,
-              ct.residue, ct.probes, ct.probes_raced);
+              ct.residue, ct.probes, ct.probes_raced, ct.probes_explored);
 
   // Same corpus size with the known-FP indirect family excluded: this is
   // the population the >= 90%-static acceptance gate measures.
@@ -274,7 +275,8 @@ int main(int argc, char** argv) {
         "    \"errors\": %zu, \"seconds\": %.3f,\n"
         "    \"pairs\": %zu, \"ordered\": %zu, \"disjoint\": %zu,\n"
         "    \"private_or_fresh\": %zu, \"residue\": %zu,\n"
-        "    \"probes\": %zu, \"probes_raced\": %zu,\n"
+        "    \"probes\": %zu, \"probes_raced\": %zu, "
+        "\"probes_explored\": %zu,\n"
         "    \"well_behaved\": {\"programs\": %zu, "
         "\"certified_static\": %zu,\n"
         "      \"certified_explored\": %zu, \"residue_raced\": %zu}\n"
@@ -282,7 +284,7 @@ int main(int argc, char** argv) {
         ct.programs, ct.certified_static, ct.certified_explored,
         ct.residue_raced, ct.errors, cert_secs, ct.pairs, ct.ordered,
         ct.disjoint, ct.private_or_fresh, ct.residue, ct.probes,
-        ct.probes_raced, cc.programs, cc.certified_static,
+        ct.probes_raced, ct.probes_explored, cc.programs, cc.certified_static,
         cc.certified_explored, cc.residue_raced);
     json += buf;
   }

@@ -27,12 +27,12 @@
 //                  Fresh objects become visible to other instances only by
 //                  publication through the region's queues/joins, which
 //                  order the publisher's writes before any consumer read.
-//   residue      — everything else. The caller lowers residue pairs into
-//                  systematic interleaving probes (transform/certify).
+//   residue      — everything else. The caller decides each residue pair
+//                  from its `opaque` bit (transform/certify).
 //
 // The split mirrors the tool's philosophy: prove what is provable with the
-// pessimistic static machinery, and hand exactly the remainder — no more —
-// to the dynamic explorer.
+// pessimistic static machinery, and leave exactly the remainder — no more —
+// as residue.
 
 #include <cstdint>
 #include <set>
@@ -112,10 +112,10 @@ struct ConflictPair {
   std::string rule;
   /// Residue only: true when some access reaches `loc` through memory (a
   /// subscript loading an array/field/local fed by one) or only through a
-  /// call summary, so a probe must assume worst-case aliasing. False means
-  /// every access is a pure function of the element index: the probe may
-  /// model instances on distinct cells (the observed-independence residue
-  /// the explorer certifies).
+  /// call summary, so two instances must be assumed to hit one cell: the
+  /// pair races. False means every access is a pure function of the element
+  /// index, so instances touch distinct cells (the observed-independence
+  /// residue): the pair is clean.
   bool opaque = false;
 };
 

@@ -626,7 +626,7 @@ json::Value Server::do_detect(const Request& req, const ModelEntry& entry) {
 json::Value Server::do_certify(const Request& req, const ModelEntry& entry) {
   (void)req;
   const transform::ProgramCertificate certificate = transform::certify_program(
-      *entry.artifacts.parsed, entry.artifacts.detection->candidates, nullptr,
+      *entry.artifacts.model, entry.artifacts.detection->candidates, nullptr,
       "request");
   json::Value probes = json::Value::array();
   for (const transform::ProbeOutcome& p : certificate.probes) {
@@ -637,9 +637,24 @@ json::Value Server::do_certify(const Request& req, const ModelEntry& entry) {
     if (!p.detail.empty()) item.set("detail", p.detail);
     probes.push_back(std::move(item));
   }
+  const auto indices = [](const std::vector<std::size_t>& values) {
+    json::Value list = json::Value::array();
+    for (std::size_t v : values) list.push_back(v);
+    return list;
+  };
+  json::Value regions = json::Value::array();
+  for (const transform::RegionCertificate& r : certificate.regions) {
+    json::Value item = json::Value::object();
+    item.set("anchor", r.anchor);
+    item.set("verdict", transform::verdict_name(r.verdict));
+    item.set("residue_pairs", indices(r.residue_pairs));
+    item.set("probes", indices(r.probes));
+    regions.push_back(std::move(item));
+  }
   json::Value result = json::Value::object();
   result.set("verdict", transform::verdict_name(certificate.verdict));
   result.set("probes", std::move(probes));
+  result.set("regions", std::move(regions));
   return result;
 }
 

@@ -1,11 +1,12 @@
 #include "transform/certify.hpp"
 
+#include <algorithm>
 #include <mutex>
 
 #include "analysis/callgraph.hpp"
+#include "analysis/semantic_model.hpp"
 #include "observe/metrics.hpp"
 #include "observe/trace.hpp"
-#include "race/explorer.hpp"
 #include "transform/testgen.hpp"
 
 namespace patty::transform {
@@ -44,38 +45,17 @@ analysis::MhpGraph build_region_graph(const std::vector<RegionShape>& shapes) {
 
 namespace {
 
-/// Lower one residue pair into an explorer conflict probe. Opaque residue
-/// assumes worst-case aliasing: both instances hit the same cell, and the
-/// vector-clock detector reports the conflict unless some modeled
-/// synchronization orders them (there is none — region instances share no
-/// locks). Non-opaque residue (pure index arithmetic) places each instance
-/// on its own cell: the schedules the explorer enumerates then certify
-/// that nothing else in the probe conflicts.
-ProbeOutcome run_conflict_probe(const analysis::ConflictPair& pair,
-                                std::size_t pair_index) {
-  ProbeOutcome probe;
-  probe.label = "pair" + std::to_string(pair_index) + ":" + pair.loc.key();
-
+/// Decide one residue pair. Region instances share no locks, so nothing
+/// orders two instances of an overlapping pair: opaque residue, which must
+/// assume both instances hit one cell, races; pure-index residue puts each
+/// instance on its own cell and cannot.
+ProbeOutcome decide_conflict(const analysis::ConflictPair& pair,
+                             std::size_t pair_index) {
   const std::string cell = pair.loc.key();
-  const bool opaque = pair.opaque;
-  std::vector<race::TaskFn> tasks;
-  for (int i = 0; i < 2; ++i) {
-    tasks.push_back([cell, opaque, i](race::TaskContext& ctx) {
-      const std::string target =
-          opaque ? cell : cell + "#" + std::to_string(i);
-      ctx.write(target, i);
-      ctx.read(target);
-    });
-  }
-  const race::ExploreResult result = race::explore(tasks);
-  probe.schedules_explored = result.schedules_explored;
-  probe.raced = !result.races.empty();
-  if (probe.raced) {
-    const race::RaceReport& r = result.races.front();
-    probe.detail = (r.write_write ? "write-write race on '"
-                                  : "read-write race on '") +
-                   r.var + "'";
-  }
+  ProbeOutcome probe;
+  probe.label = "pair" + std::to_string(pair_index) + ":" + cell;
+  probe.raced = pair.opaque;
+  if (probe.raced) probe.detail = "read-write race on '" + cell + "'";
   return probe;
 }
 
@@ -121,6 +101,59 @@ void publish_counters(const CertificationTotals& t) {
   reg.counter("mhp.pairs.residue").add(t.residue);
   reg.counter("mhp.probes").add(t.probes);
   reg.counter("mhp.probes.raced").add(t.probes_raced);
+  reg.counter("mhp.probes.explored").add(t.probes_explored);
+}
+
+ProgramCertificate certify(const lang::Program& program,
+                           const analysis::CallGraph& cg,
+                           const analysis::EffectAnalysis& effects,
+                           const std::vector<patterns::Candidate>& candidates,
+                           const rt::TuningConfig* tuning,
+                           const std::string& name) {
+  ProgramCertificate cert;
+  cert.program = name;
+
+  const std::vector<RegionShape> shapes =
+      plan_region_shapes(program, effects, candidates, tuning);
+  const analysis::MhpGraph graph = build_region_graph(shapes);
+  const analysis::MhpFacts facts(graph);
+  const analysis::FreshnessAnalysis freshness(program, cg, effects);
+  cert.summary = analysis::enumerate_conflicts(graph, facts, effects,
+                                               freshness);
+  cert.regions.resize(shapes.size());
+  for (std::size_t r = 0; r < shapes.size(); ++r)
+    cert.regions[r].anchor = shapes[r].candidate->location();
+
+  // Decide the effect residue. Only a pair that may overlap is residue, and
+  // distinct regions never overlap, so both nodes name the pair's region.
+  for (std::size_t i = 0; i < cert.summary.pairs.size(); ++i) {
+    const analysis::ConflictPair& pair = cert.summary.pairs[i];
+    if (pair.discharge != analysis::Discharge::Residue) continue;
+    RegionCertificate& region = cert.regions[static_cast<std::size_t>(
+        graph.nodes[static_cast<std::size_t>(pair.a)].region)];
+    region.residue_pairs.push_back(i);
+    region.probes.push_back(cert.probes.size());
+    cert.probes.push_back(decide_conflict(pair, i));
+  }
+  // Explore the structural order residue.
+  for (std::size_t r = 0; r < shapes.size(); ++r) {
+    const RegionShape& shape = shapes[r];
+    if (shape.sequential) continue;
+    for (const StageShape& stage : shape.stages) {
+      const bool replicated = stage.replication == 0 || stage.replication > 1;
+      if (!replicated || stage.preserve_order) continue;
+      cert.regions[r].probes.push_back(cert.probes.size());
+      cert.probes.push_back(run_order_probe(shape, stage));
+    }
+  }
+
+  for (RegionCertificate& region : cert.regions) {
+    if (!region.probes.empty()) region.verdict = Verdict::CertifiedExplored;
+    for (std::size_t p : region.probes)
+      if (cert.probes[p].raced) region.verdict = Verdict::ResidueRaced;
+    cert.verdict = std::max(cert.verdict, region.verdict);
+  }
+  return cert;
 }
 
 }  // namespace
@@ -129,44 +162,17 @@ ProgramCertificate certify_program(
     const lang::Program& program,
     const std::vector<patterns::Candidate>& candidates,
     const rt::TuningConfig* tuning, const std::string& name) {
-  ProgramCertificate cert;
-  cert.program = name;
-
   const analysis::CallGraph cg = analysis::build_call_graph(program);
   const analysis::EffectAnalysis effects(program, cg);
-  const std::vector<RegionShape> shapes =
-      plan_region_shapes(program, effects, candidates, tuning);
-  const analysis::MhpGraph graph = build_region_graph(shapes);
-  const analysis::MhpFacts facts(graph);
-  const analysis::FreshnessAnalysis freshness(program, cg, effects);
-  cert.summary = analysis::enumerate_conflicts(graph, facts, effects,
-                                               freshness);
+  return certify(program, cg, effects, candidates, tuning, name);
+}
 
-  // Lower the effect residue into conflict probes.
-  for (std::size_t i = 0; i < cert.summary.pairs.size(); ++i) {
-    const analysis::ConflictPair& pair = cert.summary.pairs[i];
-    if (pair.discharge != analysis::Discharge::Residue) continue;
-    cert.probes.push_back(run_conflict_probe(pair, i));
-  }
-  // Lower the structural order residue.
-  for (const RegionShape& shape : shapes) {
-    if (shape.sequential) continue;
-    for (const StageShape& stage : shape.stages) {
-      const bool replicated = stage.replication == 0 || stage.replication > 1;
-      if (replicated && !stage.preserve_order)
-        cert.probes.push_back(run_order_probe(shape, stage));
-    }
-  }
-
-  bool any_raced = false;
-  for (const ProbeOutcome& probe : cert.probes) any_raced |= probe.raced;
-  if (any_raced)
-    cert.verdict = Verdict::ResidueRaced;
-  else if (!cert.probes.empty())
-    cert.verdict = Verdict::CertifiedExplored;
-  else
-    cert.verdict = Verdict::CertifiedStatic;
-  return cert;
+ProgramCertificate certify_program(
+    const analysis::SemanticModel& model,
+    const std::vector<patterns::Candidate>& candidates,
+    const rt::TuningConfig* tuning, const std::string& name) {
+  return certify(model.program(), model.call_graph(), model.effects(),
+                 candidates, tuning, name);
 }
 
 CorpusCertification certify_corpus(
@@ -178,7 +184,7 @@ CorpusCertification certify_corpus(
   std::mutex mutex;
   base.inspect = [&](const corpus::ProgramInspection& in) {
     ProgramCertificate cert =
-        certify_program(*in.parsed, in.detection->candidates,
+        certify_program(*in.model, in.detection->candidates,
                         /*tuning=*/nullptr, in.program->name);
     std::scoped_lock lock(mutex);
     result.programs[in.index] = std::move(cert);
@@ -206,8 +212,10 @@ CorpusCertification certify_corpus(
     t.private_or_fresh += cert.summary.private_or_fresh;
     t.residue += cert.summary.residue;
     t.probes += cert.probes.size();
-    for (const ProbeOutcome& probe : cert.probes)
+    for (const ProbeOutcome& probe : cert.probes) {
       if (probe.raced) ++t.probes_raced;
+      if (probe.schedules_explored > 0) ++t.probes_explored;
+    }
   }
   publish_counters(t);
   return result;

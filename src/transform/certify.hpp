@@ -1,5 +1,5 @@
 #pragma once
-// MHP certification of transformed programs: prove, then probe.
+// MHP certification of transformed programs: prove, decide, probe.
 //
 // For every candidate a detection run produced, the certifier reconstructs
 // the fork-join region the plan executor would run (plan_region_shapes),
@@ -7,25 +7,28 @@
 // (analysis/mhp), and intersects it with the effect analysis to enumerate
 // candidate conflicting access pairs. Pairs proven ordered by the fork-join
 // structure, or disjoint/private by the effect + freshness machinery, are
-// discharged statically; only the residue is lowered into systematic
-// interleaving probes on the CHESS-style explorer (patty::race):
+// discharged statically. What remains is residue, and each piece of it gets
+// one ProbeOutcome:
 //
-//  * conflict probes — each residue pair becomes a task set touching the
-//    cells the pair names. Opaque residue (subscripts that load memory,
+//  * conflict residue is decided directly from ConflictPair::opaque, the
+//    way an MHP client answers mustBeSequential per pair from facts it
+//    computed once. Opaque residue (subscripts that load memory,
 //    call-summary-only accesses, shared field writes) must assume
-//    worst-case aliasing, so both instances share one cell and the
-//    vector-clock detector decides; non-opaque residue (pure index
-//    arithmetic beyond the uniform refinement) models the instances on the
-//    distinct cells its element indices name — the explorer then certifies
-//    that the region's structure around them admits no other conflict.
-//  * order probes — a pipeline stage tuned to replication > 1 with order
-//    preservation off is a structural residue (the undecidable case the
-//    paper defers to testing); explore_order_probe hunts the
-//    emission-order-violating schedule.
+//    worst-case aliasing: two unsynchronized instances may touch one cell,
+//    so the pair is raced ("read-write race on '<cell>'"). Pure-index
+//    residue (index arithmetic beyond the uniform refinement) places each
+//    instance on the cell its own index names, so the pair is clean. No
+//    schedule is explored for either (schedules_explored = 0).
+//  * order residue — a pipeline stage tuned to replication > 1 with order
+//    preservation off — is the undecidable case the paper defers to
+//    testing. It alone runs the CHESS-style explorer (patty::race):
+//    explore_order_probe hunts the emission-order-violating schedule.
 //
-// Verdict ladder: certified-static (no residue at all), certified-explored
-// (residue, every probe clean), residue-raced (some probe provoked a race
-// or violation). A program's verdict is the worst over its candidates.
+// Verdict ladder, per region and then per program: certified-static (no
+// residue at all), certified-explored (residue existed, and every decision
+// about it came back clean), residue-raced (some residue pair raced or some
+// order probe found a violation). A program's verdict is the worst over its
+// regions.
 
 #include <cstdint>
 #include <string>
@@ -36,8 +39,13 @@
 #include "patterns/candidate.hpp"
 #include "transform/plan.hpp"
 
+namespace patty::analysis {
+class SemanticModel;
+}
+
 namespace patty::transform {
 
+/// Ordered from best to worst: a program's verdict is its regions' maximum.
 enum class Verdict : std::uint8_t {
   CertifiedStatic,
   CertifiedExplored,
@@ -47,21 +55,33 @@ enum class Verdict : std::uint8_t {
 /// "certified-static" / "certified-explored" / "residue-raced".
 const char* verdict_name(Verdict v);
 
-/// One explorer probe lowered from a residue pair or a structural order
-/// residue.
+/// The outcome for one residue pair ("pair<i>:<cell>", i indexing the
+/// summary's pairs) or one structural order residue ("order:<stage>").
 struct ProbeOutcome {
   std::string label;   // which pair / stage the probe modeled
-  bool raced = false;  // explorer provoked a race / order violation
+  bool raced = false;  // the pair races / the order can be violated
+  /// Schedules the explorer ran: 0 for a directly decided pair.
   std::size_t schedules_explored = 0;
   std::string detail;  // first failure description ("" when clean)
 };
 
+/// One certified region: the fork-join region of one candidate.
+struct RegionCertificate {
+  std::string anchor;  // the candidate's anchor range (Candidate::location)
+  Verdict verdict = Verdict::CertifiedStatic;
+  std::vector<std::size_t> residue_pairs;  // into ProgramCertificate::summary
+  std::vector<std::size_t> probes;         // into ProgramCertificate::probes
+};
+
 struct ProgramCertificate {
   std::string program;
-  Verdict verdict = Verdict::CertifiedStatic;
+  Verdict verdict = Verdict::CertifiedStatic;  // worst over `regions`
   /// Conflicting access pairs over all of the program's regions.
   analysis::MhpSummary summary;
+  /// Residue pairs in summary order, then order probes in region order.
   std::vector<ProbeOutcome> probes;
+  /// One per candidate with an anchor, in candidate order.
+  std::vector<RegionCertificate> regions;
   /// Nonempty when the front-end failed; nothing was certified.
   std::string error;
 };
@@ -74,8 +94,17 @@ struct ProgramCertificate {
 analysis::MhpGraph build_region_graph(const std::vector<RegionShape>& shapes);
 
 /// Certify one program's candidates under a tuning (null = defaults).
+/// Builds the program's call graph and effect analysis.
 ProgramCertificate certify_program(
     const lang::Program& program,
+    const std::vector<patterns::Candidate>& candidates,
+    const rt::TuningConfig* tuning = nullptr,
+    const std::string& name = "program");
+
+/// The same certificate, against the frozen call graph and effect analysis
+/// of `model`, which was built from the candidates' program.
+ProgramCertificate certify_program(
+    const analysis::SemanticModel& model,
     const std::vector<patterns::Candidate>& candidates,
     const rt::TuningConfig* tuning = nullptr,
     const std::string& name = "program");
@@ -94,6 +123,7 @@ struct CertificationTotals {
   std::size_t residue = 0;
   std::size_t probes = 0;
   std::size_t probes_raced = 0;
+  std::size_t probes_explored = 0;  // probes that ran the explorer
 };
 
 struct CorpusCertification {
@@ -102,11 +132,12 @@ struct CorpusCertification {
 };
 
 /// Drive certification over a corpus through the evaluation front-end
-/// (corpus::evaluate_corpus with the inspect tap): every program that
-/// parses and analyzes gets a verdict; front-end failures surface as
-/// certificates with `error` set. `base` controls the front-end (parallel,
-/// optimistic, threads); its inspect member is overwritten. Publishes the
-/// `mhp.*` counters when observability is on.
+/// (corpus::evaluate_corpus with the inspect tap, certifying against each
+/// program's semantic model): every program that parses and analyzes gets
+/// a verdict; front-end failures surface as certificates with `error` set.
+/// `base` controls the front-end (parallel, optimistic, threads); its
+/// inspect member is overwritten. Publishes the `mhp.*` counters when
+/// observability is on.
 CorpusCertification certify_corpus(
     const std::vector<const corpus::CorpusProgram*>& programs,
     corpus::FrontendConfig base = {});

@@ -1,14 +1,19 @@
 // The MHP certification gate (ctest -L mhp): static may-happen-in-parallel
-// facts over plan region graphs, effect-pair discharge, residue lowering
-// into explorer probes, and corpus-wide certification verdicts.
+// facts over plan region graphs, effect-pair discharge, the direct decision
+// of residue pairs, order probes on the explorer, and per-region and
+// corpus-wide certification verdicts.
 //
 // The load-bearing suite members:
 //  * SyntheticSliceDischargesStatically — the >= 90% static-discharge gate
 //    over a seeded synthetic corpus slice.
 //  * RacedResidueNeverClaimedOrdered — the soundness differential: a pair
-//    the explorer can race must never have been claimed "ordered" by the
+//    certification races must never have been claimed "ordered" by the
 //    MHP analysis (also exercised in the TSan configuration, which runs
 //    this whole suite).
+//  * DirectDecisionMatchesExplorer — the explorer oracle: every residue
+//    pair of the handwritten programs and the default synthetic corpus,
+//    lowered into explorer tasks, races exactly when it was decided raced,
+//    with the same detail.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +29,7 @@
 #include "observe/metrics.hpp"
 #include "observe/trace.hpp"
 #include "patterns/detector.hpp"
+#include "race/explorer.hpp"
 #include "transform/certify.hpp"
 #include "transform/plan.hpp"
 
@@ -46,6 +52,76 @@ Analyzed analyze(const std::string& source, bool optimistic = true) {
   options.optimistic = optimistic;
   a.candidates = patterns::detect_all(*a.model, options).candidates;
   return a;
+}
+
+std::vector<const corpus::CorpusProgram*> pointers(
+    const std::vector<corpus::CorpusProgram>& suite) {
+  std::vector<const corpus::CorpusProgram*> programs;
+  for (const corpus::CorpusProgram& p : suite) programs.push_back(&p);
+  return programs;
+}
+
+/// Replicate every replicable stage and drop order preservation — the
+/// undecidable tuning the paper defers to testing. Sets *relaxed to the
+/// number of order knobs turned off.
+rt::TuningConfig relaxed_tuning(
+    const std::vector<patterns::Candidate>& candidates, int* relaxed) {
+  rt::TuningConfig config = default_tuning(candidates);
+  *relaxed = 0;
+  for (const auto& [name, p] : config.params()) {
+    (void)p;
+    auto ends_with = [&](const std::string& suffix) {
+      return name.size() >= suffix.size() &&
+             name.compare(name.size() - suffix.size(), suffix.size(),
+                          suffix) == 0;
+    };
+    if (ends_with(".replication")) config.set(name, 2);
+    if (ends_with(".order")) {
+      config.set(name, 0);
+      ++*relaxed;
+    }
+  }
+  return config;
+}
+
+/// Two certificates agree in every pair's discharge, every probe and every
+/// region.
+void expect_same_certificate(const ProgramCertificate& got,
+                             const ProgramCertificate& want) {
+  SCOPED_TRACE(want.program);
+  EXPECT_EQ(got.program, want.program);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.verdict, want.verdict);
+  EXPECT_EQ(got.summary.ordered, want.summary.ordered);
+  EXPECT_EQ(got.summary.disjoint, want.summary.disjoint);
+  EXPECT_EQ(got.summary.private_or_fresh, want.summary.private_or_fresh);
+  EXPECT_EQ(got.summary.residue, want.summary.residue);
+  ASSERT_EQ(got.summary.pairs.size(), want.summary.pairs.size());
+  for (std::size_t k = 0; k < want.summary.pairs.size(); ++k) {
+    const analysis::ConflictPair& g = got.summary.pairs[k];
+    const analysis::ConflictPair& w = want.summary.pairs[k];
+    EXPECT_EQ(g.a, w.a);
+    EXPECT_EQ(g.b, w.b);
+    EXPECT_EQ(g.loc, w.loc);
+    EXPECT_EQ(g.discharge, w.discharge);
+    EXPECT_EQ(g.rule, w.rule);
+    EXPECT_EQ(g.opaque, w.opaque);
+  }
+  ASSERT_EQ(got.probes.size(), want.probes.size());
+  for (std::size_t k = 0; k < want.probes.size(); ++k) {
+    EXPECT_EQ(got.probes[k].label, want.probes[k].label);
+    EXPECT_EQ(got.probes[k].raced, want.probes[k].raced);
+    EXPECT_EQ(got.probes[k].detail, want.probes[k].detail);
+    EXPECT_EQ(got.probes[k].schedules_explored,
+              want.probes[k].schedules_explored);
+  }
+  ASSERT_EQ(got.regions.size(), want.regions.size());
+  for (std::size_t k = 0; k < want.regions.size(); ++k) {
+    EXPECT_EQ(got.regions[k].anchor, want.regions[k].anchor);
+    EXPECT_EQ(got.regions[k].verdict, want.regions[k].verdict);
+    EXPECT_EQ(got.regions[k].residue_pairs, want.regions[k].residue_pairs);
+    EXPECT_EQ(got.regions[k].probes, want.regions[k].probes);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -173,10 +249,12 @@ TEST(CertifyProgramTest, PureStrideResidueIsExploredClean) {
   ASSERT_FALSE(cert.probes.empty());
   for (const ProbeOutcome& probe : cert.probes) {
     EXPECT_FALSE(probe.raced) << probe.label << ": " << probe.detail;
-    EXPECT_GT(probe.schedules_explored, 0u);
+    // Decided without the explorer; the explorer's run of the same pair is
+    // checked by ExplorerOracleTest.
+    EXPECT_EQ(probe.schedules_explored, 0u);
   }
-  // Pure index arithmetic: the residue is non-opaque, so the probe modeled
-  // per-instance cells (the observed-independence contract).
+  // Pure index arithmetic: the residue is non-opaque, so each instance
+  // touches its own cell (the observed-independence contract).
   for (const analysis::ConflictPair& p : cert.summary.pairs) {
     if (p.discharge == analysis::Discharge::Residue) {
       EXPECT_FALSE(p.opaque) << p.rule;
@@ -236,23 +314,8 @@ TEST(CertifyProgramTest, OrderRelaxationLowersStructuralProbe) {
   Analyzed a = analyze(corpus::avistream().source);
   ASSERT_FALSE(a.candidates.empty());
 
-  rt::TuningConfig config = default_tuning(a.candidates);
-  // Replicate every replicable stage and drop order preservation — the
-  // undecidable tuning the paper defers to testing.
   int relaxed = 0;
-  for (const auto& [name, p] : config.params()) {
-    (void)p;
-    auto ends_with = [&](const std::string& suffix) {
-      return name.size() >= suffix.size() &&
-             name.compare(name.size() - suffix.size(), suffix.size(),
-                          suffix) == 0;
-    };
-    if (ends_with(".replication")) config.set(name, 2);
-    if (ends_with(".order")) {
-      config.set(name, 0);
-      ++relaxed;
-    }
-  }
+  const rt::TuningConfig config = relaxed_tuning(a.candidates, &relaxed);
   ASSERT_GT(relaxed, 0) << "avistream has no replicable stage to relax";
 
   const ProgramCertificate relaxed_cert =
@@ -275,6 +338,84 @@ TEST(CertifyProgramTest, OrderRelaxationLowersStructuralProbe) {
 }
 
 // ---------------------------------------------------------------------------
+// Region certificates: one verdict per region, the program's is the worst.
+// ---------------------------------------------------------------------------
+
+const char* kMapAndScatterProgram = R"(
+class P {
+  int[] a;
+  int[] src;
+  int[] dst;
+  int[] idx;
+  void fill(int i) {
+    if (i < 16) { a[i] = i; src[i] = i; idx[i] = i; fill(i + 1); }
+  }
+  void Map() {
+    for (int i = 0; i < 16; i++) { a[i] = a[i] * 2; }
+  }
+  void Scatter() {
+    for (int i = 0; i < 16; i++) {
+      int j = idx[i];
+      dst[j] = src[i] + 2;
+    }
+  }
+  void main() {
+    a = new int[16];
+    src = new int[16];
+    dst = new int[16];
+    idx = new int[16];
+    fill(0);
+    Map();
+    Scatter();
+    print(a[0] + dst[0]);
+  }
+}
+)";
+
+TEST(RegionCertificateTest, CleanMapAndIndirectScatterGetTheirOwnVerdicts) {
+  Analyzed a = analyze(kMapAndScatterProgram);
+  const ProgramCertificate cert =
+      certify_program(*a.program, a.candidates, nullptr, "map+scatter");
+  std::size_t map = a.candidates.size(), scatter = a.candidates.size();
+  for (std::size_t k = 0; k < a.candidates.size(); ++k) {
+    const patterns::Candidate& c = a.candidates[k];
+    if (!c.anchor || c.kind != patterns::PatternKind::DataParallelLoop)
+      continue;
+    if (c.anchor->range.begin.line == 11) map = k;
+    if (c.anchor->range.begin.line == 14) scatter = k;
+  }
+  ASSERT_LT(map, a.candidates.size()) << "map kernel not claimed";
+  ASSERT_LT(scatter, a.candidates.size()) << "scatter kernel not claimed";
+  ASSERT_EQ(a.candidates.size(), 2u) << "expected the two kernels only";
+  ASSERT_EQ(cert.regions.size(), 2u);
+
+  const RegionCertificate& clean = cert.regions[map];
+  EXPECT_EQ(clean.anchor, a.candidates[map].location());
+  EXPECT_EQ(clean.verdict, Verdict::CertifiedStatic);
+  EXPECT_TRUE(clean.residue_pairs.empty());
+  EXPECT_TRUE(clean.probes.empty());
+
+  const RegionCertificate& raced = cert.regions[scatter];
+  EXPECT_EQ(raced.anchor, a.candidates[scatter].location());
+  EXPECT_EQ(raced.verdict, Verdict::ResidueRaced);
+  ASSERT_FALSE(raced.residue_pairs.empty());
+  EXPECT_EQ(raced.probes.size(), raced.residue_pairs.size());
+  for (std::size_t k = 0; k < raced.residue_pairs.size(); ++k) {
+    const std::size_t pair = raced.residue_pairs[k];
+    ASSERT_LT(pair, cert.summary.pairs.size());
+    EXPECT_EQ(cert.summary.pairs[pair].discharge,
+              analysis::Discharge::Residue);
+    ASSERT_LT(raced.probes[k], cert.probes.size());
+    EXPECT_EQ(cert.probes[raced.probes[k]].label.rfind(
+                  "pair" + std::to_string(pair) + ":", 0),
+              0u);
+  }
+
+  EXPECT_EQ(cert.verdict, Verdict::ResidueRaced);
+  EXPECT_EQ(cert.probes.size(), cert.summary.residue);
+}
+
+// ---------------------------------------------------------------------------
 // certify_corpus: the >= 90% static-discharge gate over a seeded slice.
 // ---------------------------------------------------------------------------
 
@@ -292,8 +433,7 @@ corpus::SyntheticConfig gate_slice_config() {
 TEST(CertifyCorpusTest, SyntheticSliceDischargesStatically) {
   const std::vector<corpus::CorpusProgram> suite =
       corpus::synthetic_suite(gate_slice_config());
-  std::vector<const corpus::CorpusProgram*> programs;
-  for (const corpus::CorpusProgram& p : suite) programs.push_back(&p);
+  const std::vector<const corpus::CorpusProgram*> programs = pointers(suite);
 
   const CorpusCertification result = certify_corpus(programs);
   ASSERT_EQ(result.programs.size(), programs.size());
@@ -321,8 +461,7 @@ TEST(CertifyCorpusTest, IndirectFamilyIsCaughtAsResidueRaced) {
   config.indirect_kernels = true;
   const std::vector<corpus::CorpusProgram> suite =
       corpus::synthetic_suite(config);
-  std::vector<const corpus::CorpusProgram*> programs;
-  for (const corpus::CorpusProgram& p : suite) programs.push_back(&p);
+  const std::vector<const corpus::CorpusProgram*> programs = pointers(suite);
 
   const CorpusCertification result = certify_corpus(programs);
   EXPECT_EQ(result.totals.errors, 0u);
@@ -344,8 +483,7 @@ TEST(CertifyCorpusTest, PublishesMhpCounters) {
   config.programs = 2;
   const std::vector<corpus::CorpusProgram> suite =
       corpus::synthetic_suite(config);
-  std::vector<const corpus::CorpusProgram*> programs;
-  for (const corpus::CorpusProgram& p : suite) programs.push_back(&p);
+  const std::vector<const corpus::CorpusProgram*> programs = pointers(suite);
   const CorpusCertification result = certify_corpus(programs);
 
   EXPECT_EQ(reg.counter("mhp.pairs").value() - before, result.totals.pairs);
@@ -375,24 +513,8 @@ TEST(CertifyCorpusTest, ParallelCertificationMatchesSequential) {
   config.parallel = true;
   const CorpusCertification parallel = certify_corpus(programs, config);
   ASSERT_EQ(parallel.programs.size(), sequential.programs.size());
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    const ProgramCertificate& want = sequential.programs[i];
-    const ProgramCertificate& got = parallel.programs[i];
-    SCOPED_TRACE(programs[i]->name);
-    EXPECT_EQ(got.program, want.program);
-    EXPECT_EQ(got.error, want.error);
-    EXPECT_EQ(got.verdict, want.verdict);
-    EXPECT_EQ(got.summary.total(), want.summary.total());
-    EXPECT_EQ(got.summary.ordered, want.summary.ordered);
-    EXPECT_EQ(got.summary.disjoint, want.summary.disjoint);
-    EXPECT_EQ(got.summary.private_or_fresh, want.summary.private_or_fresh);
-    EXPECT_EQ(got.summary.residue, want.summary.residue);
-    ASSERT_EQ(got.probes.size(), want.probes.size());
-    for (std::size_t k = 0; k < want.probes.size(); ++k) {
-      EXPECT_EQ(got.probes[k].label, want.probes[k].label);
-      EXPECT_EQ(got.probes[k].raced, want.probes[k].raced);
-    }
-  }
+  for (std::size_t i = 0; i < programs.size(); ++i)
+    expect_same_certificate(parallel.programs[i], sequential.programs[i]);
   const CertificationTotals& a = parallel.totals;
   const CertificationTotals& b = sequential.totals;
   EXPECT_EQ(a.programs, b.programs);
@@ -404,14 +526,95 @@ TEST(CertifyCorpusTest, ParallelCertificationMatchesSequential) {
   EXPECT_EQ(a.residue, b.residue);
   EXPECT_EQ(a.probes, b.probes);
   EXPECT_EQ(a.probes_raced, b.probes_raced);
+  EXPECT_EQ(a.probes_explored, b.probes_explored);
+}
+
+TEST(CertifyCorpusTest, ModelFactsGiveTheSameCertificate) {
+  // certify_corpus and the daemon certify against the semantic model's
+  // call graph and effect analysis; certify_program over the bare program
+  // builds its own. Both must give the same certificate.
+  corpus::SyntheticConfig config = gate_slice_config();
+  config.programs = 4;
+  config.indirect_kernels = true;
+  const std::vector<corpus::CorpusProgram> suite =
+      corpus::synthetic_suite(config);
+  std::vector<const corpus::CorpusProgram*> programs = corpus::handwritten();
+  for (const corpus::CorpusProgram& p : suite) programs.push_back(&p);
+
+  const CorpusCertification through_models = certify_corpus(programs);
+  ASSERT_EQ(through_models.totals.errors, 0u);
+  ASSERT_GT(through_models.totals.residue_raced, 0u);
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    Analyzed a = analyze(programs[i]->source);
+    const ProgramCertificate own_facts = certify_program(
+        *a.program, a.candidates, nullptr, programs[i]->name);
+    const ProgramCertificate model_facts = certify_program(
+        *a.model, a.candidates, nullptr, programs[i]->name);
+    expect_same_certificate(model_facts, own_facts);
+    expect_same_certificate(through_models.programs[i], own_facts);
+  }
+}
+
+TEST(CertifyCorpusTest, ExplorerRunsOnlyForOrderProbes) {
+  const bool was_enabled = observe::enabled();
+  observe::set_enabled(true);
+  // False when telemetry is compiled out: the counters then stay at zero.
+  const bool counting = observe::enabled();
+  observe::Registry& reg = observe::Registry::global();
+  const std::uint64_t explored_before =
+      reg.counter("mhp.probes.explored").value();
+  const std::uint64_t probes_before = reg.counter("mhp.probes").value();
+  const std::uint64_t schedules_before =
+      reg.counter("race.schedules_explored").value();
+
+  // Default tuning: the indirect family's residue races, and every pair of
+  // it is decided without one explored schedule.
+  corpus::SyntheticConfig config = gate_slice_config();
+  config.programs = 3;
+  config.indirect_kernels = true;
+  const std::vector<corpus::CorpusProgram> suite =
+      corpus::synthetic_suite(config);
+  const CorpusCertification result = certify_corpus(pointers(suite));
+  EXPECT_GT(result.totals.probes_raced, 0u);
+  EXPECT_EQ(result.totals.probes_explored, 0u);
+  if (counting) {
+    EXPECT_EQ(reg.counter("mhp.probes").value() - probes_before,
+              result.totals.probes);
+    EXPECT_EQ(reg.counter("mhp.probes.explored").value() - explored_before,
+              0u);
+    EXPECT_EQ(
+        reg.counter("race.schedules_explored").value() - schedules_before, 0u);
+  }
+
+  // Relaxed order preservation: the order probes still run the explorer,
+  // and at least one finds the violating schedule.
+  Analyzed a = analyze(corpus::avistream().source);
+  int relaxed = 0;
+  const rt::TuningConfig relaxed_config =
+      relaxed_tuning(a.candidates, &relaxed);
+  ASSERT_GT(relaxed, 0);
+  const ProgramCertificate cert =
+      certify_program(*a.program, a.candidates, &relaxed_config, "avistream");
+  std::size_t explored_raced = 0;
+  for (const ProbeOutcome& probe : cert.probes) {
+    if (probe.schedules_explored == 0) continue;
+    EXPECT_EQ(probe.label.rfind("order:", 0), 0u) << probe.label;
+    if (probe.raced) ++explored_raced;
+  }
+  EXPECT_GE(explored_raced, 1u);
+  if (counting) {
+    EXPECT_GT(reg.counter("race.schedules_explored").value(),
+              schedules_before);
+  }
+  observe::set_enabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------
-// Soundness differential (satellite): a pair the explorer can race must
+// Soundness differential (satellite): a pair certification races must
 // never have been claimed "ordered" by the MHP analysis. Runs over a seeded
 // synthetic slice that includes the racy indirect-scatter family, so the
-// property is exercised non-vacuously; the TSan configuration runs this
-// same test over the real explorer threads.
+// property is exercised non-vacuously. ExplorerOracleTest checks that the
+// explorer races exactly the pairs decided raced.
 // ---------------------------------------------------------------------------
 
 TEST(SoundnessDifferentialTest, RacedResidueNeverClaimedOrdered) {
@@ -446,8 +649,8 @@ TEST(SoundnessDifferentialTest, RacedResidueNeverClaimedOrdered) {
       }
     }
 
-    // The differential: every probe the explorer raced maps back to a
-    // residue pair the analysis admitted may overlap.
+    // The differential: every raced pair maps back to a residue pair the
+    // analysis admitted may overlap.
     for (const ProbeOutcome& probe : cert.probes) {
       if (!probe.raced) continue;
       ++raced_pairs;
@@ -457,7 +660,7 @@ TEST(SoundnessDifferentialTest, RacedResidueNeverClaimedOrdered) {
       ASSERT_LT(index, cert.summary.pairs.size());
       const analysis::ConflictPair& pair = cert.summary.pairs[index];
       EXPECT_NE(pair.discharge, analysis::Discharge::Ordered)
-          << p.name << ": explorer raced a pair MHP claimed ordered — "
+          << p.name << ": certification raced a pair MHP claimed ordered — "
           << "unsound";
       EXPECT_EQ(pair.discharge, analysis::Discharge::Residue);
       EXPECT_TRUE(facts.may_happen_in_parallel(pair.a, pair.b));
@@ -466,6 +669,87 @@ TEST(SoundnessDifferentialTest, RacedResidueNeverClaimedOrdered) {
   // The slice includes the indirect-scatter family: the differential must
   // have had real races to check, or it proves nothing.
   EXPECT_GT(raced_pairs, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Explorer oracle: the residue lowering the certifier used before it decided
+// pairs directly. Each pair becomes two tasks that write, then read, the
+// cells the pair names: one shared cell for opaque residue (worst-case
+// aliasing), a cell per instance for pure-index residue. The vector-clock
+// detector's verdict and first report must equal the direct decision.
+// ---------------------------------------------------------------------------
+
+ProbeOutcome explore_conflict(const analysis::ConflictPair& pair,
+                              std::size_t pair_index) {
+  ProbeOutcome probe;
+  probe.label = "pair" + std::to_string(pair_index) + ":" + pair.loc.key();
+
+  const std::string cell = pair.loc.key();
+  const bool opaque = pair.opaque;
+  std::vector<race::TaskFn> tasks;
+  for (int i = 0; i < 2; ++i) {
+    tasks.push_back([cell, opaque, i](race::TaskContext& ctx) {
+      const std::string target =
+          opaque ? cell : cell + "#" + std::to_string(i);
+      ctx.write(target, i);
+      ctx.read(target);
+    });
+  }
+  const race::ExploreResult result = race::explore(tasks);
+  probe.schedules_explored = result.schedules_explored;
+  probe.raced = !result.races.empty();
+  if (probe.raced) {
+    const race::RaceReport& r = result.races.front();
+    probe.detail = (r.write_write ? "write-write race on '"
+                                  : "read-write race on '") +
+                   r.var + "'";
+  }
+  return probe;
+}
+
+struct OracleTally {
+  std::size_t raced = 0;
+  std::size_t clean = 0;
+};
+
+/// Explore every residue pair of `cert` and compare with its decided probe
+/// (conflict probes come first, in pair order).
+void expect_oracle_agrees(const ProgramCertificate& cert, OracleTally* tally) {
+  SCOPED_TRACE(cert.program);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < cert.summary.pairs.size(); ++i) {
+    const analysis::ConflictPair& pair = cert.summary.pairs[i];
+    if (pair.discharge != analysis::Discharge::Residue) continue;
+    ASSERT_LT(next, cert.probes.size());
+    const ProbeOutcome& decided = cert.probes[next++];
+    const ProbeOutcome explored = explore_conflict(pair, i);
+    EXPECT_EQ(decided.label, explored.label);
+    EXPECT_EQ(decided.raced, explored.raced) << decided.label;
+    EXPECT_EQ(decided.detail, explored.detail) << decided.label;
+    EXPECT_EQ(decided.schedules_explored, 0u) << decided.label;
+    EXPECT_GT(explored.schedules_explored, 0u) << decided.label;
+    ++(explored.raced ? tally->raced : tally->clean);
+  }
+}
+
+TEST(ExplorerOracleTest, DirectDecisionMatchesExplorer) {
+  OracleTally tally;
+  for (const char* source : {kStrideProgram, kIndirectProgram}) {
+    Analyzed a = analyze(source);
+    expect_oracle_agrees(
+        certify_program(*a.program, a.candidates, nullptr, "probe"), &tally);
+  }
+  const std::vector<corpus::CorpusProgram> suite =
+      corpus::synthetic_suite(110, 20150207);
+  std::vector<const corpus::CorpusProgram*> programs = corpus::handwritten();
+  for (const corpus::CorpusProgram& p : suite) programs.push_back(&p);
+  const CorpusCertification result = certify_corpus(programs);
+  EXPECT_EQ(result.totals.errors, 0u);
+  for (const ProgramCertificate& cert : result.programs)
+    expect_oracle_agrees(cert, &tally);
+  // Both outcomes occur, so the comparison is not vacuous.
+  EXPECT_GT(tally.raced, 0u);
+  EXPECT_GT(tally.clean, 0u);
 }
 
 }  // namespace

@@ -705,6 +705,88 @@ TEST_F(ServiceTest, CertifyAndTuneAnswer) {
   EXPECT_GE(resp.result.at("evaluations").as_int(), 1);
 }
 
+TEST_F(ServiceTest, CertifyAnswersPerRegion) {
+  // A clean map kernel and the indirect scatter the optimistic detector
+  // wrongly claims: each region carries its own verdict, and the program's
+  // is the worst of them.
+  const char source[] = R"(
+class P {
+  int[] a;
+  int[] src;
+  int[] dst;
+  int[] idx;
+  void fill(int i) {
+    if (i < 16) { a[i] = i; src[i] = i; idx[i] = i; fill(i + 1); }
+  }
+  void Map() {
+    for (int i = 0; i < 16; i++) { a[i] = a[i] * 2; }
+  }
+  void Scatter() {
+    for (int i = 0; i < 16; i++) {
+      int j = idx[i];
+      dst[j] = src[i] + 2;
+    }
+  }
+  void main() {
+    a = new int[16];
+    src = new int[16];
+    dst = new int[16];
+    idx = new int[16];
+    fill(0);
+    Map();
+    Scatter();
+    print(a[0] + dst[0]);
+  }
+}
+)";
+  start();
+  Client client = connect();
+  Request req;
+  req.id = 1;
+  req.kind = RequestKind::Certify;
+  req.source = source;
+  const Response resp = must_call(client, req);
+  ASSERT_TRUE(resp.ok) << resp.error_message;
+  EXPECT_EQ(resp.result.at("verdict").as_string(), "residue-raced");
+
+  const json::Value::Array& probes = resp.result.at("probes").items();
+  ASSERT_FALSE(probes.empty());
+  for (const json::Value& probe : probes) {
+    EXPECT_TRUE(probe.at("raced").as_bool());
+    EXPECT_EQ(probe.at("schedules").as_int(-1), 0);  // decided directly
+    EXPECT_EQ(probe.at("detail").as_string().rfind("read-write race on", 0),
+              0u);
+  }
+
+  // Regions come in candidate order; the anchors name the kernels' lines.
+  const json::Value::Array& regions = resp.result.at("regions").items();
+  ASSERT_EQ(regions.size(), 2u);
+  const auto region_at = [&regions](const std::string& line) {
+    for (const json::Value& r : regions)
+      if (r.at("anchor").as_string().rfind(line + ":", 0) == 0) return r;
+    return json::Value();
+  };
+  const json::Value map = region_at("11");
+  EXPECT_EQ(map.at("verdict").as_string(), "certified-static");
+  EXPECT_TRUE(map.at("residue_pairs").is_array());
+  EXPECT_TRUE(map.at("residue_pairs").items().empty());
+  EXPECT_TRUE(map.at("probes").is_array());
+  EXPECT_TRUE(map.at("probes").items().empty());
+  const json::Value scatter = region_at("14");
+  EXPECT_EQ(scatter.at("verdict").as_string(), "residue-raced");
+  const json::Value::Array& pairs = scatter.at("residue_pairs").items();
+  const json::Value::Array& indices = scatter.at("probes").items();
+  ASSERT_EQ(indices.size(), probes.size());
+  ASSERT_EQ(pairs.size(), indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const json::Value& probe =
+        probes.at(static_cast<std::size_t>(indices[k].as_int()));
+    EXPECT_EQ(probe.at("label").as_string().rfind(
+                  "pair" + std::to_string(pairs[k].as_int()) + ":", 0),
+              0u);
+  }
+}
+
 // --- fault domains -----------------------------------------------------------
 
 TEST_F(ServiceTest, MalformedRequestsAreAnsweredNotFatal) {
