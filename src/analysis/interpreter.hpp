@@ -37,6 +37,7 @@ struct Frame {
   Value self_value;  // object the method runs on (null for synthetic frames)
   std::vector<Value> locals;
   Value return_value;
+  std::uint64_t serial = 0;  // allocation serial of the locals (MemLoc)
 
   [[nodiscard]] Object* self() const {
     return self_value.is_object() ? self_value.as_object().get() : nullptr;
@@ -130,6 +131,10 @@ class Interpreter {
   std::int64_t check_index(const Value& container, const Value& index,
                            SourceRange range) const;
   void charge(const lang::Stmt& st);
+  /// A fresh allocation serial while a tracer is attached, else 0.
+  std::uint64_t stamp() {
+    return tracer_ ? next_serial_.fetch_add(1, std::memory_order_relaxed) : 0;
+  }
   [[noreturn]] void error(SourceRange range, std::string message) const;
 
   void trace_read(const MemLoc& loc) {
@@ -146,6 +151,8 @@ class Interpreter {
   // Atomic so concurrent pipeline stages can charge the same interpreter.
   std::atomic<std::uint64_t> steps_{0};
   std::atomic<std::uint64_t> cost_{0};
+  // Serial 0 is the output stream's cell; allocations start at 1.
+  std::atomic<std::uint64_t> next_serial_{1};
   // Thread-local: pipeline stage workers execute statements concurrently
   // through the same interpreter, and each thread's reads/writes must be
   // attributed to the statement *that thread* is executing. call() saves

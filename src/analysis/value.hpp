@@ -1,7 +1,7 @@
 #pragma once
 // Runtime values for the MiniOO interpreter. Reference types (objects,
-// arrays, lists) have shared identity via shared_ptr, which doubles as the
-// memory-location base for dynamic dependence profiling.
+// arrays, lists) have shared identity via shared_ptr; dynamic dependence
+// profiling keys their cells by an allocation serial instead (MemLoc).
 
 #include <cstdint>
 #include <memory>
@@ -15,19 +15,24 @@ namespace patty::analysis {
 
 class Value;
 
+// `serial` is the allocation's identity for dependence profiling (MemLoc):
+// stamped by an interpreter that runs with a tracer, 0 otherwise.
 struct Object {
   const lang::ClassDecl* cls = nullptr;
   std::vector<Value> fields;
+  std::uint64_t serial = 0;
 };
 
 struct ArrayVal {
   lang::TypePtr element;
   std::vector<Value> elems;
+  std::uint64_t serial = 0;
 };
 
 struct ListVal {
   lang::TypePtr element;
   std::vector<Value> elems;
+  std::uint64_t serial = 0;
 };
 
 using ObjectPtr = std::shared_ptr<Object>;

@@ -297,6 +297,35 @@ class Main {
   EXPECT_NE(d.find(PatternKind::DataParallelLoop), nullptr);
 }
 
+TEST(DataParallelDetectorTest, PerIterationTemporaryIsNotACarriedCell) {
+  // Each iteration allocates its own `t`. The array freed in iteration i is
+  // typically reallocated at the same address in iteration i + 2; traced
+  // cells are keyed by allocation, so that reuse is no dependence.
+  Detect d(R"(
+class Main {
+  void main() {
+    int[] out = new int[16];
+    for (int i = 0; i < 16; i++) {
+      int[] t = new int[2];
+      t[0] = i + work(2);
+      t[1] = i * 2;
+      out[i] = t[0] + t[1];
+    }
+    print(out[15]);
+  }
+})");
+  const lang::Stmt* loop =
+      d.program->find_class("Main")->find_method("main")->body->stmts[1].get();
+  ASSERT_EQ(loop->kind, lang::StmtKind::For);
+  for (const analysis::Dep& dep :
+       d.model->loop_dependences(*loop, /*optimistic=*/true))
+    EXPECT_FALSE(dep.carried) << dep.str();
+  const Candidate* c = d.find(PatternKind::DataParallelLoop);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->anchor, loop);
+  EXPECT_EQ(d.find(PatternKind::Pipeline), nullptr);
+}
+
 TEST(MasterWorkerDetectorTest, IndependentCallRunDetected) {
   Detect d(R"(
 class Worker {
