@@ -472,6 +472,9 @@ TEST(CertifyCorpusTest, IndirectFamilyIsCaughtAsResidueRaced) {
 }
 
 TEST(CertifyCorpusTest, PublishesMhpCounters) {
+#ifdef PATTY_OBSERVE_DISABLED
+  GTEST_SKIP() << "telemetry compiled out (PATTY_OBSERVE=OFF)";
+#endif
   const bool was_enabled = observe::enabled();
   observe::set_enabled(true);
   observe::Registry& reg = observe::Registry::global();
