@@ -9,7 +9,7 @@
 //  * the dependence memo returns stable references and computes once per
 //    (loop, mode);
 //  * a shared Profiler stays consistent (and TSan-clean) under concurrent
-//    trace interpretation.
+//    trace interpretation, and its statement queries may run alongside it.
 
 #include <gtest/gtest.h>
 
@@ -273,6 +273,76 @@ TEST(ProfilerConcurrency, ConcurrentTraceInterpretationIsConsistent) {
   EXPECT_EQ(lp->total_iterations,
             static_cast<std::uint64_t>(kThreads) * kCalls * kIters);
   EXPECT_GT(profiler.total_cost(), 0u);
+}
+
+TEST(ProfilerConcurrency, StatementQueriesDuringTracingAreConsistent) {
+  // stmt_profile(), runtime_share(), total_cost() and call_count() may be
+  // asked while other threads still trace. Each answer is a snapshot, so
+  // per reader the counts never go back and a share never exceeds 1; once
+  // tracing is joined the counts are exact.
+  DiagnosticSink diags;
+  auto program = lang::parse_and_check(R"(class Main {
+    int tick(int n) {
+      int acc = 0;
+      for (int i = 0; i < n; i++) { acc = acc + work(2); }
+      return acc;
+    }
+    void main() { tick(1); }
+  })",
+                                       diags);
+  ASSERT_TRUE(program) << diags.to_string();
+
+  analysis::Profiler profiler(*program);
+  analysis::Interpreter interp(*program, &profiler);
+  const lang::ClassDecl* main_class = program->find_class("Main");
+  ASSERT_TRUE(main_class);
+  const lang::MethodDecl* tick = main_class->find_method("tick");
+  ASSERT_TRUE(tick);
+  const analysis::Value self = interp.instantiate(*main_class, {});
+  const int loop_id = tick->body->stmts[1]->id;
+  const int body_id = tick->body->stmts[1]
+                          ->as<lang::For>()
+                          .body->as<lang::Block>()
+                          .stmts[0]
+                          ->id;
+
+  constexpr int kTracers = 4;
+  constexpr int kReaders = 2;
+  constexpr int kCalls = 50;
+  constexpr int kIters = 20;
+  std::atomic<int> tracing{kTracers};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTracers; ++t)
+    threads.emplace_back([&interp, tick, &self, &tracing] {
+      for (int c = 0; c < kCalls; ++c)
+        interp.call(*tick, self, {analysis::Value::of_int(kIters)});
+      tracing.fetch_sub(1);
+    });
+  for (int r = 0; r < kReaders; ++r)
+    threads.emplace_back([&profiler, tick, loop_id, body_id, &tracing,
+                          &violations] {
+      std::uint64_t execs = 0, cost = 0, calls = 0;
+      while (tracing.load() > 0) {
+        const std::uint64_t e = profiler.stmt_profile(body_id).exec_count;
+        const std::uint64_t c = profiler.stmt_profile(loop_id).inclusive_cost;
+        const std::uint64_t n = profiler.call_count(tick);
+        const double share = profiler.runtime_share(loop_id);
+        if (e < execs || c < cost || n < calls || share < 0.0 || share > 1.0)
+          violations.fetch_add(1);
+        execs = e;
+        cost = c;
+        calls = n;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(profiler.stmt_profile(body_id).exec_count.load(),
+            static_cast<std::uint64_t>(kTracers) * kCalls * kIters);
+  EXPECT_EQ(profiler.call_count(tick),
+            static_cast<std::uint64_t>(kTracers) * kCalls);
+  EXPECT_LE(profiler.stmt_profile(loop_id).inclusive_cost.load(),
+            profiler.total_cost());
 }
 
 }  // namespace
