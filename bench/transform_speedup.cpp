@@ -1,18 +1,15 @@
 // Reproduces the §5 early performance result: code transformed by the
 // pattern-based process achieves "parallel performance close to manual
 // parallelization", within minutes instead of days. For each corpus
-// program we measure:
-//   Sequential — the untransformed program (tree-walking interpreter),
-//   PattyAuto  — the parallel plan under the auto-tuned configuration,
-//   Manual     — the parallel plan under a hand-picked expert configuration
-//                (the "skilled engineer" comparator).
-// The shape to reproduce: Sequential > PattyAuto ~ Manual.
-//
-// The host may have fewer cores than the paper's testbed (this container is
-// single-core), so all three variants run with InterpreterOptions::
-// work_sleeps: work(n) becomes a timed wait that overlaps across threads
-// exactly as compute overlaps on real cores (documented substitution in
-// DESIGN.md). All variants use the same mode, so the comparison is fair.
+// program we measure, on the host's real cores:
+//   Sequential  — the untransformed program (tree-walking interpreter),
+//   PattyDefault — the parallel plan with no tuning file, so the executor's
+//                  prediction gate picks the regions that run in parallel,
+//   PattyAuto   — the parallel plan under the auto-tuned configuration,
+//   Manual      — the parallel plan under a hand-picked expert
+//                 configuration (the "skilled engineer" comparator).
+// The shape to reproduce: Sequential > PattyAuto ~ Manual. Every plan row
+// includes executor construction, as a tuning run's measurement does.
 
 #include <benchmark/benchmark.h>
 
@@ -37,13 +34,6 @@ struct Prepared {
   rt::TuningConfig manual_config;  // expert values: replicate + threads
   rt::TuningConfig tuned_config;   // linear auto-tuner result
 };
-
-analysis::InterpreterOptions emulated_multicore() {
-  analysis::InterpreterOptions options;
-  options.work_sleeps = true;
-  options.work_sleep_ns = 20'000;
-  return options;
-}
 
 Prepared prepare(const corpus::CorpusProgram& source) {
   Prepared p;
@@ -71,7 +61,7 @@ Prepared prepare(const corpus::CorpusProgram& source) {
     transform::ParallelPlanExecutor executor(*p.program, p.candidates,
                                              &config);
     const auto start = std::chrono::steady_clock::now();
-    executor.run_main(emulated_multicore());
+    executor.run_main();
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
@@ -96,23 +86,23 @@ Prepared& raytracer() {
 
 void run_sequential(benchmark::State& state, Prepared& p) {
   for (auto _ : state) {
-    analysis::Interpreter interp(*p.program, nullptr, emulated_multicore());
+    analysis::Interpreter interp(*p.program);
     benchmark::DoNotOptimize(interp.run_main());
   }
 }
 
+/// `config` null: no tuning file, the executor's gate decides.
 void run_plan(benchmark::State& state, Prepared& p,
-              const rt::TuningConfig& config) {
+              const rt::TuningConfig* config) {
   for (auto _ : state) {
     transform::ParallelPlanExecutor executor(*p.program, p.candidates,
-                                             &config);
-    benchmark::DoNotOptimize(executor.run_main(emulated_multicore()));
+                                             config);
+    benchmark::DoNotOptimize(executor.run_main());
   }
 }
 
-/// Executor construction alone (call graph, effects, design-time
-/// predictions, plans): the set-up every PattyAuto/Manual iteration pays
-/// before its run.
+/// Executor construction alone (design-time predictions, plans): the
+/// set-up every plan iteration pays before its run.
 void run_setup(benchmark::State& state, Prepared& p) {
   for (auto _ : state) {
     transform::ParallelPlanExecutor executor(*p.program, p.candidates,
@@ -124,11 +114,14 @@ void run_setup(benchmark::State& state, Prepared& p) {
 void BM_AviStream_Sequential(benchmark::State& state) {
   run_sequential(state, avistream());
 }
+void BM_AviStream_PattyDefault(benchmark::State& state) {
+  run_plan(state, avistream(), nullptr);
+}
 void BM_AviStream_PattyAuto(benchmark::State& state) {
-  run_plan(state, avistream(), avistream().tuned_config);
+  run_plan(state, avistream(), &avistream().tuned_config);
 }
 void BM_AviStream_Manual(benchmark::State& state) {
-  run_plan(state, avistream(), avistream().manual_config);
+  run_plan(state, avistream(), &avistream().manual_config);
 }
 void BM_AviStream_Setup(benchmark::State& state) {
   run_setup(state, avistream());
@@ -137,11 +130,14 @@ void BM_AviStream_Setup(benchmark::State& state) {
 void BM_Matrix_Sequential(benchmark::State& state) {
   run_sequential(state, matrix());
 }
+void BM_Matrix_PattyDefault(benchmark::State& state) {
+  run_plan(state, matrix(), nullptr);
+}
 void BM_Matrix_PattyAuto(benchmark::State& state) {
-  run_plan(state, matrix(), matrix().tuned_config);
+  run_plan(state, matrix(), &matrix().tuned_config);
 }
 void BM_Matrix_Manual(benchmark::State& state) {
-  run_plan(state, matrix(), matrix().manual_config);
+  run_plan(state, matrix(), &matrix().manual_config);
 }
 void BM_Matrix_Setup(benchmark::State& state) {
   run_setup(state, matrix());
@@ -150,25 +146,31 @@ void BM_Matrix_Setup(benchmark::State& state) {
 void BM_RayTracer_Sequential(benchmark::State& state) {
   run_sequential(state, raytracer());
 }
+void BM_RayTracer_PattyDefault(benchmark::State& state) {
+  run_plan(state, raytracer(), nullptr);
+}
 void BM_RayTracer_PattyAuto(benchmark::State& state) {
-  run_plan(state, raytracer(), raytracer().tuned_config);
+  run_plan(state, raytracer(), &raytracer().tuned_config);
 }
 void BM_RayTracer_Manual(benchmark::State& state) {
-  run_plan(state, raytracer(), raytracer().manual_config);
+  run_plan(state, raytracer(), &raytracer().manual_config);
 }
 void BM_RayTracer_Setup(benchmark::State& state) {
   run_setup(state, raytracer());
 }
 
 BENCHMARK(BM_AviStream_Sequential)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AviStream_PattyDefault)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AviStream_PattyAuto)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AviStream_Manual)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AviStream_Setup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Matrix_Sequential)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Matrix_PattyDefault)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Matrix_PattyAuto)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Matrix_Manual)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Matrix_Setup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RayTracer_Sequential)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RayTracer_PattyDefault)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RayTracer_PattyAuto)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RayTracer_Manual)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RayTracer_Setup)->Unit(benchmark::kMicrosecond);

@@ -104,6 +104,13 @@ int main() {
   executor.run_main();
   std::printf("\n=== Execution ===\nsequential output: %sparallel output:   %s",
               reference.output().c_str(), executor.output().c_str());
+  // No tuning file: the executor's gate ran every region predicted to slow
+  // down sequentially; each report says which way it went and why.
+  for (const transform::PlanReport& r : executor.reports())
+    std::printf("  %-18s stmt %-4d %s%s%s\n",
+                patterns::pattern_kind_name(r.kind), r.loop_stmt_id,
+                r.ran_parallel ? "parallel" : "sequential",
+                r.note.empty() ? "" : ": ", r.note.c_str());
   std::printf("outputs %s\n",
               reference.output() == executor.output() ? "MATCH" : "DIFFER");
 

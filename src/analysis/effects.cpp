@@ -189,6 +189,19 @@ const EffectSet& EffectAnalysis::method_summary(
   return it->second;
 }
 
+std::size_t EffectAnalysis::memory_footprint() const {
+  constexpr std::size_t kNode = 32;  // red-black node links and colour
+  std::size_t bytes = 0;
+  for (const auto& [method, summary] : summaries_) {
+    (void)method;
+    bytes += sizeof(std::pair<const lang::MethodDecl* const, EffectSet>) +
+             kNode +
+             (summary.reads.size() + summary.writes.size()) *
+                 (sizeof(AbsLoc) + kNode);
+  }
+  return bytes;
+}
+
 void EffectAnalysis::compute_summaries() {
   // Initialize empty, iterate to fixed point (terminates: sets only grow and
   // the abstract location universe is finite).
@@ -418,6 +431,32 @@ void EffectAnalysis::collect_expr(const lang::Expr& e, EffectSet& out,
       collect_expr(*e.as<lang::Unary>().operand, out, include_locals);
       break;
   }
+}
+
+void local_slot_effects(const lang::Stmt& st, std::set<int>* reads,
+                        std::set<int>* writes) {
+  // A local assignment target is written, not read; every other local
+  // reference is a read.
+  std::vector<const lang::Expr*> targets;
+  lang::for_each_stmt(st, [&](const lang::Stmt& s) {
+    if (s.kind == StmtKind::VarDecl) {
+      writes->insert(s.as<lang::VarDecl>().slot);
+    } else if (s.kind == StmtKind::Foreach) {
+      writes->insert(s.as<lang::Foreach>().slot);
+    } else if (s.kind == StmtKind::Assign) {
+      const lang::Expr& target = *s.as<lang::Assign>().target;
+      if (target.kind == ExprKind::VarRef &&
+          target.as<lang::VarRef>().is_local()) {
+        writes->insert(target.as<lang::VarRef>().slot);
+        targets.push_back(&target);
+      }
+    }
+  });
+  lang::for_each_expr(st, [&](const lang::Expr& e) {
+    if (e.kind != ExprKind::VarRef || !e.as<lang::VarRef>().is_local()) return;
+    if (std::find(targets.begin(), targets.end(), &e) == targets.end())
+      reads->insert(e.as<lang::VarRef>().slot);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -89,6 +89,9 @@ class EffectAnalysis {
   /// Non-local summary of a method (fields/elements/io only).
   const EffectSet& method_summary(const lang::MethodDecl* m) const;
 
+  /// Heap bytes held by the method summaries.
+  [[nodiscard]] std::size_t memory_footprint() const;
+
  private:
   void compute_summaries();
   void collect_expr(const lang::Expr& e, EffectSet& out,
@@ -102,6 +105,12 @@ class EffectAnalysis {
   const CallGraph& cg_;
   std::map<const lang::MethodDecl*, EffectSet> summaries_;
 };
+
+/// Local slots a statement subtree reads and writes, from its syntax alone.
+/// Equals the Local subset of EffectAnalysis::stmt_effects: method
+/// summaries carry no locals, so no call adds one.
+void local_slot_effects(const lang::Stmt& st, std::set<int>* reads,
+                        std::set<int>* writes);
 
 /// Where a method's non-local writes land, relative to its own activation.
 /// Locations absent from both sets are written only through objects the

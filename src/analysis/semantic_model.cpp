@@ -203,6 +203,33 @@ double SemanticModel::runtime_share(const lang::Stmt& st) const {
   return profiler_->runtime_share(st.id);
 }
 
+namespace {
+
+/// Heap bytes of a node-based hash map: the bucket array and one node per
+/// entry (next pointer and cached hash besides the value).
+template <typename Map>
+std::size_t hash_map_bytes(const Map& map) {
+  return map.bucket_count() * sizeof(void*) +
+         map.size() * (sizeof(typename Map::value_type) + 16);
+}
+
+}  // namespace
+
+std::size_t SemanticModel::memory_footprint() const {
+  std::size_t bytes = side_bytes_reserved();
+  if (profiler_) bytes += profiler_->memory_footprint();
+  if (effects_) bytes += effects_->memory_footprint();
+  bytes += call_graph_.methods.capacity() * sizeof(const lang::MethodDecl*) +
+           hash_map_bytes(call_graph_.index_of);
+  for (const auto* edges : {&call_graph_.callees, &call_graph_.callers}) {
+    bytes += edges->capacity() * sizeof(std::vector<int>);
+    for (const std::vector<int>& e : *edges) bytes += e.capacity() * sizeof(int);
+  }
+  bytes += loops_.capacity() * sizeof(LoopInfo) + hash_map_bytes(stmt_by_id_) +
+           hash_map_bytes(method_by_stmt_id_);
+  return bytes;
+}
+
 const lang::Stmt* SemanticModel::stmt_by_id(int id) const {
   auto it = stmt_by_id_.find(id);
   return it == stmt_by_id_.end() ? nullptr : it->second;

@@ -86,6 +86,11 @@ class SemanticModel {
     return arena_.bytes_reserved();
   }
 
+  /// Heap bytes the model holds: the side arena, the profile, the effect
+  /// summaries, the call graph, the loop list and the statement maps. The
+  /// AST is the program's, not the model's.
+  [[nodiscard]] std::size_t memory_footprint() const;
+
  private:
   SemanticModel() = default;
   void collect_loops();

@@ -65,6 +65,16 @@ struct Candidate {
   /// it depends on the machine, not the source.
   double predicted_speedup = 0.0;
 
+  /// Profiled leaves of the design-time cost model, in profiler cost units
+  /// (one per executed statement, n per work(n)). Absent from detection
+  /// fingerprints like predicted_speedup, and zero or empty where the
+  /// profile never reached the region. Loops: iterations per entry and the
+  /// body's inclusive cost per iteration. Master/worker: each task
+  /// statement's inclusive cost per execution.
+  double trips_per_entry = 0.0;
+  double cost_per_iteration = 0.0;
+  std::vector<double> task_costs;
+
   [[nodiscard]] std::string location() const {
     return anchor ? anchor->range.str() : "<unknown>";
   }

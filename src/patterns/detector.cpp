@@ -99,18 +99,35 @@ int body_index(const std::vector<const Stmt*>& body, int stmt_id) {
   return -1;
 }
 
+/// Inclusive profiled cost of one statement over the whole run.
+double inclusive_cost(const SemanticModel& model, const Stmt& st) {
+  if (!model.profile()) return 0.0;
+  return static_cast<double>(
+      model.profile()->stmt_profile(st.id).inclusive_cost);
+}
+
 /// Sum of inclusive profiled cost over a set of statements.
 double stage_cost(const SemanticModel& model,
                   const std::vector<const Stmt*>& body,
                   const std::vector<int>& indices) {
-  if (!model.profile()) return 0.0;
   double total = 0.0;
-  for (int i : indices) {
-    total += static_cast<double>(
-        model.profile()->stmt_profile(body[static_cast<std::size_t>(i)]->id)
-            .inclusive_cost);
-  }
+  for (int i : indices)
+    total += inclusive_cost(model, *body[static_cast<std::size_t>(i)]);
   return total;
+}
+
+/// Record a profiled loop's cost-model leaves on its candidate: iterations
+/// per entry, and the body's inclusive cost (`body_cost`, summed over the
+/// whole run) per iteration. A loop the profile never iterated keeps none.
+void record_loop_leaves(const SemanticModel& model, const Stmt& loop,
+                        double body_cost, Candidate* cand) {
+  if (!model.profile()) return;
+  const analysis::Profiler::LoopProfile* lp =
+      model.profile()->loop_profile(loop.id);
+  if (!lp || lp->entries == 0 || lp->total_iterations == 0) return;
+  const double iterations = static_cast<double>(lp->total_iterations);
+  cand->trips_per_entry = iterations / static_cast<double>(lp->entries);
+  cand->cost_per_iteration = body_cost / iterations;
 }
 
 /// Does this statement subtree write to the output stream (print)?
@@ -228,6 +245,7 @@ PipelineOutcome detect_pipeline(const SemanticModel& model, const Stmt& loop,
   double body_total = 0.0;
   for (const auto& idxs : stage_indices)
     body_total += stage_cost(model, body, idxs);
+  record_loop_leaves(model, loop, body_total, &cand);
 
   for (std::size_t s = 0; s < stage_indices.size(); ++s) {
     StageSpec spec;
@@ -461,6 +479,9 @@ PipelineOutcome detect_data_parallel(const SemanticModel& model,
   cand.reason = cand.is_reduction
                     ? "independent iterations up to one associative reduction"
                     : "no loop-carried dependences between iterations";
+  double body_cost = 0.0;
+  for (const Stmt* top : body) body_cost += inclusive_cost(model, *top);
+  record_loop_leaves(model, loop, body_cost, &cand);
 
   const std::string prefix = loop_prefix(model, loop, "parfor");
   rt::TuningParameter threads;
@@ -565,6 +586,20 @@ std::vector<Candidate> detect_master_worker(const SemanticModel& model,
               share += model.runtime_share(*st);
             }
             cand.runtime_share = share;
+            // Each task's cost per execution; none unless the profile ran
+            // every task.
+            for (const Stmt* st : run) {
+              const std::uint64_t runs =
+                  model.profile()
+                      ? model.profile()->stmt_profile(st->id).exec_count.load()
+                      : 0;
+              if (runs == 0) {
+                cand.task_costs.clear();
+                break;
+              }
+              cand.task_costs.push_back(inclusive_cost(model, *st) /
+                                        static_cast<double>(runs));
+            }
             std::string tadl;
             for (std::size_t k = 0; k < run.size(); ++k) {
               if (k) tadl += " || ";

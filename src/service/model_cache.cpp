@@ -47,7 +47,7 @@ std::size_t entry_bytes(const corpus::ProgramArtifacts& artifacts,
                         std::size_t source_bytes) {
   std::size_t bytes = source_bytes + artifacts.fingerprint.size();
   if (artifacts.parsed) bytes += artifacts.parsed->arena.bytes_reserved();
-  if (artifacts.model) bytes += artifacts.model->side_bytes_reserved();
+  if (artifacts.model) bytes += artifacts.model->memory_footprint();
   return bytes;
 }
 

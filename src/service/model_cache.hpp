@@ -9,8 +9,9 @@
 // entirely; detection fingerprints are byte-identical to the uncached path
 // (tests/service_test.cpp proves it, including across an eviction).
 //
-// The cache is LRU-bounded by an estimated byte footprint (the program
-// arena's reserved bytes dominate and are exact). Entries are handed out
+// The cache is LRU-bounded by an estimated byte footprint (entry_bytes:
+// the program arena's reserved bytes, exact, plus the model's profile,
+// effects, call graph and maps). Entries are handed out
 // as shared_ptr<const ...>: an evicted entry stays alive for requests that
 // already hold it, eviction only drops the cache's own reference. The
 // byte bound is therefore a bound on what the *cache* pins, the honest
@@ -40,11 +41,12 @@ std::uint64_t content_hash(std::string_view source);
 /// `artifacts.parsed`; both live exactly as long as this entry.
 struct ModelEntry {
   corpus::ProgramArtifacts artifacts;
-  std::size_t bytes = 0;  // footprint estimate (arena reserved + source)
+  std::size_t bytes = 0;  // footprint estimate (entry_bytes)
 };
 
-/// Estimated resident footprint of an adopted program (AST/model arena
-/// reserved bytes + source text + fingerprint).
+/// Estimated resident footprint of an adopted program: source text,
+/// fingerprint, the AST arena's reserved bytes and the semantic model's
+/// memory_footprint() (side arena, profile, effects, call graph, maps).
 std::size_t entry_bytes(const corpus::ProgramArtifacts& artifacts,
                         std::size_t source_bytes);
 

@@ -114,7 +114,7 @@ ProgramCertificate certify(const lang::Program& program,
   cert.program = name;
 
   const std::vector<RegionShape> shapes =
-      plan_region_shapes(program, effects, candidates, tuning);
+      plan_region_shapes(program, candidates, tuning);
   const analysis::MhpGraph graph = build_region_graph(shapes);
   const analysis::MhpFacts facts(graph);
   const analysis::FreshnessAnalysis freshness(program, cg, effects);

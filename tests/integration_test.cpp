@@ -57,9 +57,12 @@ TEST_P(EndToEnd, FullProcessModelPreservesSemantics) {
     tadl::strip_annotations(*program);
   }
 
-  // Phase 4: parallel plan, default tuning.
+  // Phase 4: parallel plan, default tuning (given explicitly, so the
+  // executor's prediction gate cannot run a region sequentially).
+  const rt::TuningConfig config =
+      transform::default_tuning(detection.candidates);
   transform::ParallelPlanExecutor executor(*program, detection.candidates,
-                                           nullptr);
+                                           &config);
   const analysis::Value par_result = executor.run_main();
   EXPECT_TRUE(par_result.equals(ref_result)) << src.name;
   EXPECT_EQ(executor.output(), ref_output) << src.name;

@@ -635,8 +635,8 @@ TEST(SoundnessDifferentialTest, RacedResidueNeverClaimedOrdered) {
 
     // Recompute the MHP facts the certifier used (same deterministic
     // pipeline) so probe outcomes can be checked against the relation.
-    const std::vector<RegionShape> shapes = plan_region_shapes(
-        *a.program, a.model->effects(), a.candidates, nullptr);
+    const std::vector<RegionShape> shapes =
+        plan_region_shapes(*a.program, a.candidates, nullptr);
     const analysis::MhpGraph graph = build_region_graph(shapes);
     const analysis::MhpFacts facts(graph);
 

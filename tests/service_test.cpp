@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/semantic_model.hpp"
 #include "corpus/corpus.hpp"
 #include "observe/explain.hpp"
 #include "observe/metrics.hpp"
@@ -438,6 +439,37 @@ TEST(ModelCacheTest, LruEvictionKeepsByteBound) {
   cache.insert(4, fake_entry(900));  // evicts everything else
   EXPECT_LE(cache.stats().bytes, 1000u);
   EXPECT_EQ(held->bytes, 400u);
+}
+
+TEST(ModelCacheTest, BudgetForNFullEntriesEvictsAtNPlusOne) {
+  // A real front-end entry counts what it pins: the profile, effects, call
+  // graph and maps too, not only the arenas and the source.
+  const corpus::CorpusProgram& program = corpus::raytracer();
+  auto entry = std::make_shared<ModelEntry>();
+  corpus::FrontendConfig config;
+  config.adopt = [&entry](corpus::ProgramArtifacts&& artifacts) {
+    entry->artifacts = std::move(artifacts);
+  };
+  corpus::evaluate_corpus({&program}, config);
+  const corpus::ProgramArtifacts& a = entry->artifacts;
+  ASSERT_TRUE(a.model && a.model->profile());
+  entry->bytes = entry_bytes(a, program.source.size());
+  const std::size_t arenas_source_and_profile =
+      program.source.size() + a.fingerprint.size() +
+      a.parsed->arena.bytes_reserved() + a.model->side_bytes_reserved() +
+      a.model->profile()->memory_footprint();
+  EXPECT_GT(entry->bytes, arenas_source_and_profile);
+
+  // Resubmitted with new content hashes (one key each), as misses are.
+  constexpr std::uint64_t kN = 3;
+  ModelCache cache(kN * entry->bytes);
+  for (std::uint64_t key = 0; key < kN; ++key) cache.insert(key, entry);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().entries, kN);
+  cache.insert(kN, entry);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, kN);
+  EXPECT_FALSE(cache.lookup(0));
 }
 
 TEST(ModelCacheTest, OversizeEntryIsRefusedNotAdmitted) {
