@@ -310,15 +310,8 @@ PipelineOutcome detect_pipeline(const SemanticModel& model, const Stmt& loop,
   auto add_param = [&](std::string name, rt::TuningKind kind,
                        std::int64_t value, std::int64_t min, std::int64_t max,
                        std::string desc) {
-    rt::TuningParameter p;
-    p.name = prefix + "." + std::move(name);
-    p.kind = kind;
-    p.value = value;
-    p.min = min;
-    p.max = max;
-    p.location = loop.range.str();
-    p.description = std::move(desc);
-    cand.tuning.push_back(std::move(p));
+    cand.tuning.push_back({prefix + "." + std::move(name), kind, value, min,
+                           max, 1, loop.range.str(), std::move(desc)});
   };
   for (std::size_t s = 0; s < cand.stages.size(); ++s) {
     const StageSpec& spec = cand.stages[s];
@@ -484,34 +477,14 @@ PipelineOutcome detect_data_parallel(const SemanticModel& model,
   record_loop_leaves(model, loop, body_cost, &cand);
 
   const std::string prefix = loop_prefix(model, loop, "parfor");
-  rt::TuningParameter threads;
-  threads.name = prefix + ".threads";
-  threads.kind = rt::TuningKind::Int;
-  threads.value = 0;
-  threads.min = 0;
-  threads.max = options.max_replication;
-  threads.location = loop.range.str();
-  threads.description = "worker threads (0 = hardware)";
-  cand.tuning.push_back(threads);
-  rt::TuningParameter grain;
-  grain.name = prefix + ".grain";
-  grain.kind = rt::TuningKind::Int;
-  grain.value = 0;
-  grain.min = 0;
-  grain.max = 256;
-  grain.step = 64;
-  grain.location = loop.range.str();
-  grain.description = "chunk size (0 = auto)";
-  cand.tuning.push_back(grain);
-  rt::TuningParameter seq;
-  seq.name = prefix + ".sequential";
-  seq.kind = rt::TuningKind::Bool;
-  seq.value = 0;
-  seq.min = 0;
-  seq.max = 1;
-  seq.location = loop.range.str();
-  seq.description = "SequentialExecution fallback";
-  cand.tuning.push_back(seq);
+  const std::string where = loop.range.str();
+  cand.tuning.push_back({prefix + ".threads", rt::TuningKind::Int, 0, 0,
+                         options.max_replication, 1, where,
+                         "worker threads (0 = hardware)"});
+  cand.tuning.push_back({prefix + ".grain", rt::TuningKind::Int, 0, 0, 256, 64,
+                         where, "chunk size (0 = auto)"});
+  cand.tuning.push_back({prefix + ".sequential", rt::TuningKind::Bool, 0, 0, 1,
+                         1, where, "SequentialExecution fallback"});
 
   outcome.candidate = std::move(cand);
   return outcome;
@@ -608,16 +581,11 @@ std::vector<Candidate> detect_master_worker(const SemanticModel& model,
             cand.tadl = "(" + tadl + ")";
             cand.reason = std::to_string(run.size()) +
                           " consecutive independent call statements";
-            rt::TuningParameter workers;
-            workers.name =
-                loop_prefix(model, *run.front(), "masterworker") + ".workers";
-            workers.kind = rt::TuningKind::Int;
-            workers.value = 0;
-            workers.min = 0;
-            workers.max = options.max_replication;
-            workers.location = run.front()->range.str();
-            workers.description = "worker crew size (0 = shared pool)";
-            cand.tuning.push_back(workers);
+            cand.tuning.push_back(
+                {loop_prefix(model, *run.front(), "masterworker") + ".workers",
+                 rt::TuningKind::Int, 0, 0, options.max_replication, 1,
+                 run.front()->range.str(),
+                 "worker crew size (0 = shared pool)"});
             out.push_back(std::move(cand));
           }
           i = j > i ? j : i + 1;

@@ -20,24 +20,28 @@ const char* verdict_name(Verdict v) {
   return "?";
 }
 
-analysis::MhpGraph build_region_graph(const std::vector<RegionShape>& shapes) {
+analysis::MhpGraph build_region_graph(
+    const std::vector<patterns::RegionPlan>& plans) {
   analysis::MhpGraph graph;
-  for (std::size_t r = 0; r < shapes.size(); ++r) {
-    const RegionShape& shape = shapes[r];
+  for (std::size_t r = 0; r < plans.size(); ++r) {
+    const patterns::RegionPlan& plan = plans[r];
+    const std::size_t first = graph.nodes.size();
     bool any_parallel_instances = false;
-    for (const StageShape& stage : shape.stages) {
-      analysis::MhpNode node;
-      node.label = "region" + std::to_string(r) + "." + stage.label;
-      node.region = static_cast<int>(r);
-      node.multiplicity = stage.replication == 0 ? 2 : stage.replication;
-      node.induction_slot = shape.induction_slot;
-      node.stmts = stage.stmts;
-      node.method = shape.method;
-      if (node.multiplicity > 1) any_parallel_instances = true;
-      graph.nodes.push_back(std::move(node));
+    for (const patterns::PlanStage& stage : plan.resolved) {
+      for (const patterns::PlanMember& member : stage.members) {
+        analysis::MhpNode node;
+        node.label = "region" + std::to_string(r) + "." + member.label;
+        node.region = static_cast<int>(r);
+        node.multiplicity = stage.replication == 0 ? 2 : stage.replication;
+        node.induction_slot = plan.induction_slot;
+        node.stmts = member.stmts;
+        node.method = plan.method;
+        if (node.multiplicity > 1) any_parallel_instances = true;
+        graph.nodes.push_back(std::move(node));
+      }
     }
-    if (!shape.sequential &&
-        (shape.stages.size() > 1 || any_parallel_instances))
+    if (!plan.sequential() &&
+        (graph.nodes.size() - first > 1 || any_parallel_instances))
       graph.concurrent_regions.insert(static_cast<int>(r));
   }
   return graph;
@@ -62,13 +66,13 @@ ProbeOutcome decide_conflict(const analysis::ConflictPair& pair,
 /// Structural order residue: a replicated stage with order preservation
 /// off. The systematic order probe (testgen) enumerates schedules and
 /// returns the violating one when it exists.
-ProbeOutcome run_order_probe(const RegionShape& shape,
-                             const StageShape& stage) {
+ProbeOutcome run_order_probe(const patterns::RegionPlan& plan,
+                             const patterns::PlanStage& stage) {
   ProbeOutcome probe;
   probe.label = "order:" + stage.label;
 
   ParallelUnitTest test;
-  test.candidate = shape.candidate;
+  test.candidate = plan.candidate;
   test.name = probe.label;
   rt::TuningParameter rep;
   rep.name = "probe.replication";
@@ -113,16 +117,18 @@ ProgramCertificate certify(const lang::Program& program,
   ProgramCertificate cert;
   cert.program = name;
 
-  const std::vector<RegionShape> shapes =
-      plan_region_shapes(program, candidates, tuning);
-  const analysis::MhpGraph graph = build_region_graph(shapes);
+  std::vector<patterns::RegionPlan> plans;
+  plans.reserve(candidates.size());
+  for (const patterns::Candidate& c : candidates)
+    if (c.anchor) plans.push_back(patterns::plan_region(c, tuning));
+  const analysis::MhpGraph graph = build_region_graph(plans);
   const analysis::MhpFacts facts(graph);
   const analysis::FreshnessAnalysis freshness(program, cg, effects);
   cert.summary = analysis::enumerate_conflicts(graph, facts, effects,
                                                freshness);
-  cert.regions.resize(shapes.size());
-  for (std::size_t r = 0; r < shapes.size(); ++r)
-    cert.regions[r].anchor = shapes[r].candidate->location();
+  cert.regions.resize(plans.size());
+  for (std::size_t r = 0; r < plans.size(); ++r)
+    cert.regions[r].anchor = plans[r].candidate->location();
 
   // Decide the effect residue. Only a pair that may overlap is residue, and
   // distinct regions never overlap, so both nodes name the pair's region.
@@ -136,14 +142,14 @@ ProgramCertificate certify(const lang::Program& program,
     cert.probes.push_back(decide_conflict(pair, i));
   }
   // Explore the structural order residue.
-  for (std::size_t r = 0; r < shapes.size(); ++r) {
-    const RegionShape& shape = shapes[r];
-    if (shape.sequential) continue;
-    for (const StageShape& stage : shape.stages) {
+  for (std::size_t r = 0; r < plans.size(); ++r) {
+    const patterns::RegionPlan& plan = plans[r];
+    if (plan.sequential()) continue;
+    for (const patterns::PlanStage& stage : plan.resolved) {
       const bool replicated = stage.replication == 0 || stage.replication > 1;
       if (!replicated || stage.preserve_order) continue;
       cert.regions[r].probes.push_back(cert.probes.size());
-      cert.probes.push_back(run_order_probe(shape, stage));
+      cert.probes.push_back(run_order_probe(plan, stage));
     }
   }
 

@@ -1,9 +1,9 @@
 #pragma once
 // MHP certification of transformed programs: prove, decide, probe.
 //
-// For every candidate a detection run produced, the certifier reconstructs
-// the fork-join region the plan executor would run (plan_region_shapes),
-// computes the may-happen-in-parallel relation over its node graph
+// For every candidate a detection run produced, the certifier takes the
+// region plan the plan executor runs (patterns::plan_region), computes the
+// may-happen-in-parallel relation over its node graph
 // (analysis/mhp), and intersects it with the effect analysis to enumerate
 // candidate conflicting access pairs. Pairs proven ordered by the fork-join
 // structure, or disjoint/private by the effect + freshness machinery, are
@@ -36,7 +36,7 @@
 
 #include "analysis/mhp.hpp"
 #include "corpus/corpus.hpp"
-#include "patterns/candidate.hpp"
+#include "patterns/region_plan.hpp"
 #include "transform/plan.hpp"
 
 namespace patty::analysis {
@@ -86,12 +86,14 @@ struct ProgramCertificate {
   std::string error;
 };
 
-/// Build the MHP node graph for a set of region shapes: one region per
-/// shape (the executor joins each region before the next starts, so
-/// cross-region pairs are ordered), one node per stage. A stage replication
-/// of 0 (runtime default: one worker per hardware thread) is treated as
-/// "more than one instance".
-analysis::MhpGraph build_region_graph(const std::vector<RegionShape>& shapes);
+/// Build the MHP node graph for a set of region plans: one region per plan
+/// (the executor joins each region before the next starts, so cross-region
+/// pairs are ordered), one node per member of each resolved stage, at the
+/// stage's replication. A replication of 0 (runtime default: one worker per
+/// hardware thread) is treated as "more than one instance". The loop header
+/// is no node: the executor generates every element before the region forks.
+analysis::MhpGraph build_region_graph(
+    const std::vector<patterns::RegionPlan>& plans);
 
 /// Certify one program's candidates under a tuning (null = defaults).
 /// Builds the program's call graph and effect analysis.

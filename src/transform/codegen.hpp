@@ -13,9 +13,9 @@
 
 namespace patty::transform {
 
-/// Rewritten method body for one candidate, rendered as source text.
-std::string generate_parallel_source(const lang::Program& program,
-                                     const patterns::Candidate& candidate);
+/// Rewritten method body for one candidate, rendered as source text from
+/// its region plan (patterns/region_plan).
+std::string generate_parallel_source(const patterns::Candidate& candidate);
 
 /// Full artifact bundle for a candidate: annotated source region, parallel
 /// code, and the tuning configuration — everything figure 3 shows.

@@ -5,9 +5,8 @@
 #include <mutex>
 #include <set>
 
-#include "analysis/dependence.hpp"
-#include "analysis/effects.hpp"
 #include "observe/metrics.hpp"
+#include "patterns/region_plan.hpp"
 #include "runtime/master_worker.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/pipeline.hpp"
@@ -39,187 +38,18 @@ struct Elem {
   std::shared_ptr<Frame> frame;
 };
 
-/// Per-candidate precomputation done once at plan build time.
-struct LoopPlan {
-  const Candidate* candidate = nullptr;
-  std::vector<const Stmt*> body;
-  /// Outer-declared local slots written by the body (ordered write-back).
-  std::vector<int> writeback_slots;
-  /// Loop variable managed by the header (element index), -1 if none.
-  int induction_slot = -1;
-  /// Reduction bookkeeping (data-parallel reductions only).
-  int reduction_slot = -1;
-  lang::BinaryOp reduction_op = lang::BinaryOp::Add;
-  /// Reasons that force SequentialExecution regardless of tuning.
-  std::string unsafe_reason;
-  /// Set by the executor's gate when, untuned, the region is predicted to
-  /// run slower in parallel than sequentially: the prediction and its
-  /// leaves.
-  std::string gate_reason;
-
-  [[nodiscard]] bool unsafe() const { return !unsafe_reason.empty(); }
-};
-
 /// The gate's threshold on the speedup predicted at default knobs: never a
 /// slowdown (the SequentialExecution knob's promise, made automatically).
 constexpr double kGateSpeedup = 1.0;
 
-/// Tuning parameter lookup by name suffix, shared by the executor and the
-/// shape computation so both resolve parameters identically.
-std::int64_t tuned_param(const Candidate& c, const rt::TuningConfig* tuning,
-                         const std::string& suffix, std::int64_t fallback) {
-  for (const rt::TuningParameter& p : c.tuning) {
-    if (p.name.size() > suffix.size() &&
-        p.name.compare(p.name.size() - suffix.size(), suffix.size(),
-                       suffix) == 0) {
-      return tuning ? tuning->get_or(p.name, p.value) : p.value;
-    }
-  }
-  return fallback;
-}
-
-/// Collect every local slot declared inside a statement subtree.
-std::set<int> declared_slots(const std::vector<const Stmt*>& body) {
-  std::set<int> slots;
-  for (const Stmt* top : body) {
-    lang::for_each_stmt(*top, [&](const Stmt& st) {
-      if (st.kind == StmtKind::VarDecl) slots.insert(st.as<lang::VarDecl>().slot);
-      if (st.kind == StmtKind::Foreach) slots.insert(st.as<lang::Foreach>().slot);
-    });
-  }
-  return slots;
-}
-
-/// Slots referenced by an expression (reads).
-void expr_slots(const lang::Expr& e, std::set<int>* slots) {
-  lang::for_each_expr_in(e, [&](const lang::Expr& sub) {
-    if (sub.kind == lang::ExprKind::VarRef) {
-      const auto& ref = sub.as<lang::VarRef>();
-      if (ref.is_local()) slots->insert(ref.slot);
-    }
-  });
-}
-
-/// The safety/shape analysis of one loop candidate (pipeline or
-/// data-parallel): body statements, write-back slots, reduction
-/// bookkeeping, and every reason the executor must fall back to sequential.
-/// Shared by the executor's plan builder and plan_region_shapes so the
-/// certifier reasons about exactly the region the executor would run.
-LoopPlan analyze_loop_plan(const Candidate& c) {
-  LoopPlan plan;
-  plan.candidate = &c;
-  plan.body = analysis::loop_body_statements(*c.anchor);
-
-  if (c.anchor->kind == StmtKind::While) {
-    plan.unsafe_reason = "while-loop headers cannot stream-generate";
-  }
-
-  const std::set<int> declared = declared_slots(plan.body);
-  std::set<int> reads, writes;
-  for (const Stmt* top : plan.body)
-    analysis::local_slot_effects(*top, &reads, &writes);
-
-  // Header slots: For init/cond/step, Foreach loop variable + iterable.
-  std::set<int> header_reads;
-  if (c.anchor->kind == StmtKind::For) {
-    const auto& f = c.anchor->as<lang::For>();
-    if (f.cond) expr_slots(*f.cond, &header_reads);
-    if (f.step) {
-      std::set<int> step_writes;
-      analysis::local_slot_effects(*f.step, &header_reads, &step_writes);
-      for (int slot : step_writes)
-        if (writes.count(slot))
-          plan.unsafe_reason = "loop body writes the induction variable";
-    }
-    if (f.init && f.init->kind == StmtKind::VarDecl)
-      plan.induction_slot = f.init->as<lang::VarDecl>().slot;
-  } else if (c.anchor->kind == StmtKind::Foreach) {
-    plan.induction_slot = c.anchor->as<lang::Foreach>().slot;
-  }
-
-  // Reduction bookkeeping.
-  if (c.is_reduction && c.reduction_stmt_id >= 0) {
-    const Stmt* red = nullptr;
-    for (const Stmt* top : plan.body) {
-      lang::for_each_stmt(*top, [&](const Stmt& st) {
-        if (st.id == c.reduction_stmt_id) red = &st;
-      });
-    }
-    if (red && red->kind == StmtKind::Assign) {
-      const auto& a = red->as<lang::Assign>();
-      if (a.target->kind == lang::ExprKind::VarRef) {
-        const auto& tgt = a.target->as<lang::VarRef>();
-        if (tgt.is_local() && a.value->kind == lang::ExprKind::Binary) {
-          plan.reduction_slot = tgt.slot;
-          plan.reduction_op = a.value->as<lang::Binary>().op;
-        } else {
-          plan.unsafe_reason =
-              "reduction accumulator is a field (shared heap state)";
-        }
-      }
-    }
-    if (plan.reduction_slot < 0 && plan.unsafe_reason.empty())
-      plan.unsafe_reason = "reduction statement shape not executable";
-  }
-
-  // Scalar carried state: an outer-declared slot both written and read by
-  // the body (or read by the loop header) cannot be represented with
-  // per-element snapshot frames.
-  if (plan.unsafe_reason.empty()) {
-    for (int slot : writes) {
-      if (declared.count(slot)) continue;     // per-iteration temporary
-      if (slot == plan.induction_slot) continue;  // header-managed
-      if (slot == plan.reduction_slot) continue;  // handled specially
-      if (reads.count(slot) || header_reads.count(slot)) {
-        plan.unsafe_reason =
-            "loop-carried scalar state in an outer local (slot " +
-            std::to_string(slot) + ")";
-        break;
-      }
-      plan.writeback_slots.push_back(slot);
-    }
-  }
-  return plan;
-}
-
-/// Method whose body contains the statement with this id, or null.
-const lang::MethodDecl* method_containing(const lang::Program& program,
-                                          int stmt_id) {
-  for (const auto& cls : program.classes) {
-    for (const auto& m : cls->methods) {
-      bool found = false;
-      lang::for_each_stmt(*m->body, [&](const Stmt& st) {
-        if (st.id == stmt_id) found = true;
-      });
-      if (found) return m.get();
-    }
-  }
-  return nullptr;
-}
-
-/// A master/worker candidate's task statements, looked up in `method` (the
-/// tasks are consecutive statements of one block); null where an id is not
-/// found there.
-std::vector<const Stmt*> task_statements(const lang::MethodDecl* method,
-                                         const Candidate& c) {
-  std::vector<const Stmt*> tasks(c.task_stmt_ids.size(), nullptr);
-  if (!method) return tasks;
-  lang::for_each_stmt(*method->body, [&](const Stmt& st) {
-    for (std::size_t k = 0; k < tasks.size(); ++k)
-      if (st.id == c.task_stmt_ids[k]) tasks[k] = &st;
-  });
-  return tasks;
-}
-
-/// The loop-body statements of one pipeline stage, in stage order.
-std::vector<const Stmt*> stage_statements(const LoopPlan& plan,
-                                          const patterns::StageSpec& spec) {
-  std::vector<const Stmt*> out;
-  for (int id : spec.stmt_ids)
-    for (const Stmt* st : plan.body)
-      if (st->id == id) out.push_back(st);
-  return out;
-}
+/// A candidate's region as the executor arms it: its plan under the
+/// executor's tuning, and the gate's verdict for this machine.
+struct Armed {
+  patterns::RegionPlan plan;
+  std::string gate_reason;  // gate_note() where it runs the region sequentially
+  /// Master/worker: the tasks' ids, which interception skips while they run.
+  std::set<int> task_ids;
+};
 
 }  // namespace
 
@@ -227,7 +57,7 @@ struct ParallelPlanExecutor::Impl {
   const lang::Program& program;
   std::vector<Candidate> candidates;
   const rt::TuningConfig* tuning;
-  std::map<int, LoopPlan> plans;          // anchor stmt id -> plan
+  std::map<int, Armed> plans;  // anchor stmt id -> armed region
   /// What each node id is to the plans, read on every executed statement.
   enum class Role : std::uint8_t { None, Anchor, Absorbed };
   std::vector<Role> roles;  // Absorbed: master/worker non-anchor stmts
@@ -241,49 +71,50 @@ struct ParallelPlanExecutor::Impl {
         candidates(std::move(cands)),
         tuning(t),
         roles(static_cast<std::size_t>(p.next_node_id), Role::None) {
-    // Predict each region on this machine before any transformation runs.
-    // The reports carry the tuned-best speedup next to what actually
-    // happened (figure 4c's "estimated speedup" column); untuned, the
-    // speedup at the default knobs gates the region.
+    // One plan per candidate, built once; every run reads it. Predict each
+    // region on this machine from it before any transformation runs. The
+    // reports carry the tuned-best speedup next to what actually happened
+    // (figure 4c's "estimated speedup" column); untuned, the speedup at the
+    // default knobs gates the region.
+    std::vector<patterns::RegionPlan> region_plans;
+    region_plans.reserve(candidates.size());
+    for (const Candidate& c : candidates)
+      region_plans.push_back(patterns::plan_region(c, tuning));
     const tuning::Hardware hw;
     const std::vector<tuning::SpeedupPrediction> predictions =
-        tuning::predict_speedups(candidates, hw);
+        tuning::predict_speedups(region_plans, hw);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       candidates[i].predicted_speedup = predictions[i].speedup;
-      build_plan(candidates[i], predictions[i], hw.effective());
+      arm(std::move(region_plans[i]), predictions[i], hw.effective());
     }
   }
 
-  std::int64_t param(const Candidate& c, const std::string& suffix,
-                     std::int64_t fallback) const {
-    return tuned_param(c, tuning, suffix, fallback);
-  }
-
-  void build_plan(const Candidate& c, const tuning::SpeedupPrediction& pred,
-                  int hardware_threads) {
+  void arm(patterns::RegionPlan plan, const tuning::SpeedupPrediction& pred,
+           int hardware_threads) {
+    const Candidate& c = *plan.candidate;
     if (!c.anchor) return;
-    LoopPlan plan;
+    Armed armed;
     if (c.kind == PatternKind::MasterWorker) {
-      plan.candidate = &c;
-      for (std::size_t i = 1; i < c.task_stmt_ids.size(); ++i)
-        roles[static_cast<std::size_t>(c.task_stmt_ids[i])] = Role::Absorbed;
-    } else {
-      plan = analyze_loop_plan(c);
+      // Every task but the anchor (which runs them all) is absorbed.
+      for (const patterns::PlanMember& task : plan.stages.front().members) {
+        const int id = task.stmts.front()->id;
+        armed.task_ids.insert(id);
+        roles[static_cast<std::size_t>(id)] = Role::Absorbed;
+      }
     }
+    armed.plan = std::move(plan);
     // The gate: without a tuning file the region runs at its default
     // knobs, so their prediction decides. A tuning file is obeyed as is.
-    if (!tuning) plan.gate_reason = gate_note(pred, hardware_threads);
-    plans[c.anchor->id] = std::move(plan);
+    if (!tuning) armed.gate_reason = gate_note(pred, hardware_threads);
+    plans[c.anchor->id] = std::move(armed);
     roles[static_cast<std::size_t>(c.anchor->id)] = Role::Anchor;
   }
 
-  /// Why this region runs sequentially whatever the run brings, or empty:
-  /// an unsafe plan, the SequentialExecution knob, or the gate.
-  std::string sequential_reason(const LoopPlan& plan) const {
-    if (plan.unsafe()) return plan.unsafe_reason;
-    if (param(*plan.candidate, ".sequential", 0) != 0)
-      return "SequentialExecution enabled";
-    return plan.gate_reason;
+  /// Why this region runs sequentially, or empty: the plan's reason or the
+  /// gate's.
+  static const std::string& sequential_reason(const Armed& armed) {
+    return armed.plan.sequential() ? armed.plan.sequential_reason
+                                   : armed.gate_reason;
   }
 
   PlanReport& report_for(const Candidate& c) {
@@ -389,21 +220,50 @@ struct ParallelPlanExecutor::Impl {
   }
 
   /// Ordered write-back of escaping locals into the outer frame.
-  void write_back(const LoopPlan& plan, const std::vector<Elem>& ordered,
-                  Frame& outer) {
-    if (plan.writeback_slots.empty() || ordered.empty()) return;
-    for (const Elem& e : ordered) {
+  void write_back(const patterns::RegionPlan& plan,
+                  const std::vector<Elem>& ordered, Frame& outer) {
+    for (const Elem& e : ordered)
       for (int slot : plan.writeback_slots)
         outer.locals[static_cast<std::size_t>(slot)] =
             e.frame->locals[static_cast<std::size_t>(slot)];
-    }
   }
 
   // --- Pattern execution ------------------------------------------------------
 
-  bool run_pipeline(const LoopPlan& plan, Frame& outer, Interpreter& in) {
+  /// The runtime stage of one resolved plan stage.
+  rt::Pipeline<Elem>::Stage runtime_stage(const patterns::PlanStage& stage,
+                                          Interpreter& in) {
+    rt::Pipeline<Elem>::Stage out;
+    out.name = stage.label;
+    out.replication = stage.replication;
+    out.preserve_order = stage.preserve_order;
+    const std::vector<patterns::PlanMember>& members = stage.members;
+    if (members.size() == 1) {
+      out.fn = [this, &in, &stmts = members.front().stmts](Elem& e) {
+        run_stmts(in, stmts, *e.frame);
+      };
+      return out;
+    }
+    // A section: its members run concurrently on each element. The stage
+    // runs on a pipeline stage thread, which is not a pool worker, so a
+    // join on the shared pool there blocks instead of helping
+    // (ThreadPool::wait_on); the members get a dedicated crew instead.
+    out.fn = [this, &in, &members](Elem& e) {
+      rt::MasterWorker mw(static_cast<int>(members.size()));
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(members.size());
+      for (const patterns::PlanMember& m : members)
+        tasks.push_back(
+            [this, &in, &m, &e] { run_stmts(in, m.stmts, *e.frame); });
+      mw.run(tasks);
+    };
+    return out;
+  }
+
+  bool run_pipeline(const Armed& armed, Frame& outer, Interpreter& in) {
+    const patterns::RegionPlan& plan = armed.plan;
     const Candidate& c = *plan.candidate;
-    if (const std::string why = sequential_reason(plan); !why.empty()) {
+    if (const std::string& why = sequential_reason(armed); !why.empty()) {
       note_fallback(c, why);
       return false;
     }
@@ -414,65 +274,12 @@ struct ParallelPlanExecutor::Impl {
     }
 
     std::vector<rt::Pipeline<Elem>::Stage> rt_stages;
-    for (const auto& section : c.sections) {
-      if (section.size() == 1) {
-        const patterns::StageSpec& spec = c.stages[section[0]];
-        std::vector<const Stmt*> stmts = stage_statements(plan, spec);
-        int replication = spec.replicable
-                              ? static_cast<int>(param(
-                                    c, ".stage" + spec.label + ".replication", 1))
-                              : 1;
-        if (replication < 1) replication = 1;
-        const bool order =
-            param(c, ".stage" + spec.label + ".order", 1) != 0;
-        rt::Pipeline<Elem>::Stage stage;
-        stage.name = spec.label;
-        stage.fn = [this, &in, stmts](Elem& e) { run_stmts(in, stmts, *e.frame); };
-        stage.replication = replication;
-        stage.preserve_order = order;
-        rt_stages.push_back(std::move(stage));
-      } else {
-        // Master/worker section: the sub-stages run concurrently per element.
-        std::vector<std::vector<const Stmt*>> groups;
-        std::string name = "(";
-        for (std::size_t k = 0; k < section.size(); ++k) {
-          groups.push_back(stage_statements(plan, c.stages[section[k]]));
-          if (k) name += "||";
-          name += c.stages[section[k]].label;
-        }
-        name += ")";
-        rt::Pipeline<Elem>::Stage stage;
-        stage.name = std::move(name);
-        // Dedicated crew sized to the section: the shared pool may have as
-        // few as one thread (rt::hardware_threads()), which would serialize
-        // the section's independent filters.
-        const int crew = static_cast<int>(groups.size());
-        stage.fn = [this, &in, groups, crew](Elem& e) {
-          rt::MasterWorker mw(crew);
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(groups.size());
-          for (const auto& g : groups)
-            tasks.push_back([this, &in, &g, &e] { run_stmts(in, g, *e.frame); });
-          mw.run(tasks);
-        };
-        stage.replication = 1;
-        rt_stages.push_back(std::move(stage));
-      }
-    }
-
-    // Stage fusion between consecutive singleton sections.
-    for (std::size_t s = 0; s + 1 < c.sections.size(); ++s) {
-      if (c.sections[s].size() != 1 || c.sections[s + 1].size() != 1) continue;
-      const std::string pair = c.stages[c.sections[s][0]].label +
-                               c.stages[c.sections[s + 1][0]].label;
-      if (param(c, ".fuse" + pair, 0) != 0) rt_stages[s].fuse_with_next = true;
-    }
-
+    rt_stages.reserve(plan.resolved.size());
+    for (const patterns::PlanStage& stage : plan.resolved)
+      rt_stages.push_back(runtime_stage(stage, in));
     rt::PipelineConfig cfg;
-    cfg.buffer_capacity =
-        static_cast<std::size_t>(std::max<std::int64_t>(1, param(c, ".buffer", 16)));
-    cfg.batch_size =
-        static_cast<std::size_t>(std::max<std::int64_t>(1, param(c, ".batch", 1)));
+    cfg.buffer_capacity = plan.buffer;
+    cfg.batch_size = plan.batch;
     rt::Pipeline<Elem> pipeline(std::move(rt_stages), cfg);
 
     std::size_t next = 0;
@@ -494,9 +301,10 @@ struct ParallelPlanExecutor::Impl {
     return true;
   }
 
-  bool run_data_parallel(const LoopPlan& plan, Frame& outer, Interpreter& in) {
+  bool run_data_parallel(const Armed& armed, Frame& outer, Interpreter& in) {
+    const patterns::RegionPlan& plan = armed.plan;
     const Candidate& c = *plan.candidate;
-    if (const std::string why = sequential_reason(plan); !why.empty()) {
+    if (const std::string& why = sequential_reason(armed); !why.empty()) {
       note_fallback(c, why);
       return false;
     }
@@ -507,26 +315,25 @@ struct ParallelPlanExecutor::Impl {
     }
 
     // Reduction accumulators start at the identity in every element frame.
+    const auto acc_slot = static_cast<std::size_t>(plan.reduction_slot);
+    const bool mul = plan.reduction_op == lang::BinaryOp::Mul;
     if (plan.reduction_slot >= 0) {
       for (Elem& e : elements) {
-        Value& acc =
-            e.frame->locals[static_cast<std::size_t>(plan.reduction_slot)];
-        if (plan.reduction_op == lang::BinaryOp::Mul) {
-          acc = acc.is_double() ? Value::of_double(1.0) : Value::of_int(1);
-        } else {
-          acc = acc.is_double() ? Value::of_double(0.0) : Value::of_int(0);
-        }
+        Value& acc = e.frame->locals[acc_slot];
+        acc = acc.is_double() ? Value::of_double(mul ? 1.0 : 0.0)
+                              : Value::of_int(mul ? 1 : 0);
       }
     }
 
+    const patterns::PlanStage& body = plan.stages.front();
     rt::ParallelForTuning pf;
-    pf.threads = static_cast<int>(param(c, ".threads", 0));
-    pf.grain = param(c, ".grain", 0);
+    pf.threads = body.replication;
+    pf.grain = plan.grain;
     try {
       rt::parallel_for(
           0, static_cast<std::int64_t>(elements.size()),
           [&](std::int64_t i) {
-            run_stmts(in, plan.body,
+            run_stmts(in, body.members.front().stmts,
                       *elements[static_cast<std::size_t>(i)].frame);
           },
           pf);
@@ -538,22 +345,15 @@ struct ParallelPlanExecutor::Impl {
 
     // Fold the partial accumulators back, in element order.
     if (plan.reduction_slot >= 0) {
-      Value& acc =
-          outer.locals[static_cast<std::size_t>(plan.reduction_slot)];
+      Value& acc = outer.locals[acc_slot];
       for (const Elem& e : elements) {
-        const Value& partial =
-            e.frame->locals[static_cast<std::size_t>(plan.reduction_slot)];
-        if (plan.reduction_op == lang::BinaryOp::Mul) {
-          if (acc.is_double() || partial.is_double())
-            acc = Value::of_double(acc.to_double() * partial.to_double());
-          else
-            acc = Value::of_int(acc.as_int() * partial.as_int());
-        } else {
-          if (acc.is_double() || partial.is_double())
-            acc = Value::of_double(acc.to_double() + partial.to_double());
-          else
-            acc = Value::of_int(acc.as_int() + partial.as_int());
-        }
+        const Value& x = e.frame->locals[acc_slot];
+        if (acc.is_double() || x.is_double())
+          acc = Value::of_double(mul ? acc.to_double() * x.to_double()
+                                     : acc.to_double() + x.to_double());
+        else
+          acc = Value::of_int(mul ? acc.as_int() * x.as_int()
+                                  : acc.as_int() + x.as_int());
       }
     }
     write_back(plan, elements, outer);
@@ -583,38 +383,32 @@ struct ParallelPlanExecutor::Impl {
       fatal("control flow escaped a master/worker task");
   }
 
-  bool run_master_worker(const LoopPlan& plan, Frame& frame, Interpreter& in) {
-    const Candidate& c = *plan.candidate;
-    const std::vector<const Stmt*> tasks_stmts =
-        task_statements(method_containing(program, c.anchor->id), c);
-    for (const Stmt* st : tasks_stmts) {
-      if (!st) {
-        note_fallback(c, "task statement not found");
-        return false;
-      }
-    }
-    const std::set<int> own_ids(c.task_stmt_ids.begin(),
-                                c.task_stmt_ids.end());
+  bool run_master_worker(const Armed& armed, Frame& frame, Interpreter& in) {
+    const Candidate& c = *armed.plan.candidate;
+    const std::vector<patterns::PlanMember>& members =
+        armed.plan.stages.front().members;
+    const std::set<int>& own_ids = armed.task_ids;
     // Tasks that ran to completion, each flag written by its own task
     // only; mw.run joins every task before it returns or throws.
-    std::vector<char> finished(tasks_stmts.size(), 0);
+    std::vector<char> finished(members.size(), 0);
     // Sequential fallback: the unfinished tasks in program order on this
     // thread. The interpreter alone would run the anchor and skip the
     // absorbed tasks.
     auto run_in_order = [&] {
-      for (std::size_t k = 0; k < tasks_stmts.size(); ++k)
-        if (!finished[k]) run_task(in, *tasks_stmts[k], frame, own_ids);
+      for (std::size_t k = 0; k < members.size(); ++k)
+        if (!finished[k])
+          run_task(in, *members[k].stmts.front(), frame, own_ids);
       return true;
     };
-    if (const std::string why = sequential_reason(plan); !why.empty()) {
+    if (const std::string& why = sequential_reason(armed); !why.empty()) {
       note_fallback(c, why);
       return run_in_order();
     }
-    rt::MasterWorker mw(static_cast<int>(param(c, ".workers", 0)));
+    rt::MasterWorker mw(armed.plan.workers);
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(tasks_stmts.size());
-    for (std::size_t k = 0; k < tasks_stmts.size(); ++k)
-      tasks.push_back([&in, st = tasks_stmts[k], &frame, &own_ids,
+    tasks.reserve(members.size());
+    for (std::size_t k = 0; k < members.size(); ++k)
+      tasks.push_back([&in, st = members[k].stmts.front(), &frame, &own_ids,
                        done = &finished[k]] {
         run_task(in, *st, frame, own_ids);
         *done = 1;
@@ -683,17 +477,17 @@ bool ParallelPlanExecutor::intercept(const Stmt& st, Frame& frame,
   }
   auto it = impl_->plans.find(st.id);
   if (it == impl_->plans.end()) return false;
-  const LoopPlan& plan = it->second;
+  const Armed& armed = it->second;
   bool handled = false;
-  switch (plan.candidate->kind) {
+  switch (armed.plan.candidate->kind) {
     case PatternKind::Pipeline:
-      handled = impl_->run_pipeline(plan, frame, interp);
+      handled = impl_->run_pipeline(armed, frame, interp);
       break;
     case PatternKind::DataParallelLoop:
-      handled = impl_->run_data_parallel(plan, frame, interp);
+      handled = impl_->run_data_parallel(armed, frame, interp);
       break;
     case PatternKind::MasterWorker:
-      handled = impl_->run_master_worker(plan, frame, interp);
+      handled = impl_->run_master_worker(armed, frame, interp);
       break;
   }
   if (handled) *signal = ExecSignal::Normal;
@@ -719,74 +513,6 @@ rt::TuningConfig default_tuning(const std::vector<Candidate>& candidates) {
   for (const Candidate& c : candidates)
     for (const rt::TuningParameter& p : c.tuning) config.define(p);
   return config;
-}
-
-std::vector<RegionShape> plan_region_shapes(
-    const lang::Program& program, const std::vector<Candidate>& candidates,
-    const rt::TuningConfig* tuning) {
-  std::vector<RegionShape> shapes;
-  shapes.reserve(candidates.size());
-  for (const Candidate& c : candidates) {
-    if (!c.anchor) continue;
-    RegionShape shape;
-    shape.candidate = &c;
-    shape.method = method_containing(program, c.anchor->id);
-
-    if (c.kind == PatternKind::MasterWorker) {
-      const std::vector<const Stmt*> tasks = task_statements(shape.method, c);
-      for (std::size_t k = 0; k < tasks.size(); ++k) {
-        StageShape stage;
-        stage.label = "task" + std::to_string(k);
-        if (tasks[k]) stage.stmts.push_back(tasks[k]);
-        shape.stages.push_back(std::move(stage));
-      }
-      shapes.push_back(std::move(shape));
-      continue;
-    }
-
-    const LoopPlan plan = analyze_loop_plan(c);
-    shape.induction_slot = plan.induction_slot;
-    shape.reduction_slot = plan.reduction_slot;
-    if (plan.unsafe() || tuned_param(c, tuning, ".sequential", 0) != 0) {
-      shape.sequential = true;
-      shape.sequential_reason =
-          plan.unsafe() ? plan.unsafe_reason : "SequentialExecution enabled";
-    }
-
-    if (c.kind == PatternKind::DataParallelLoop) {
-      StageShape stage;
-      stage.label = "body";
-      stage.replication =
-          static_cast<int>(tuned_param(c, tuning, ".threads", 0));
-      if (stage.replication < 0) stage.replication = 0;
-      stage.stmts = plan.body;
-      shape.stages.push_back(std::move(stage));
-    } else {
-      // Pipeline: one stage shape per StageSpec, in section order. Stages
-      // of a multi-member section run concurrently even on the same
-      // element (the executor gives the section a worker crew); the
-      // detector only groups stages it proved mutually independent.
-      for (const auto& section : c.sections) {
-        for (int idx : section) {
-          const patterns::StageSpec& spec =
-              c.stages[static_cast<std::size_t>(idx)];
-          StageShape stage;
-          stage.label = spec.label;
-          stage.stmts = stage_statements(plan, spec);
-          if (spec.replicable) {
-            stage.replication = static_cast<int>(tuned_param(
-                c, tuning, ".stage" + spec.label + ".replication", 1));
-            if (stage.replication < 1) stage.replication = 1;
-          }
-          stage.preserve_order =
-              tuned_param(c, tuning, ".stage" + spec.label + ".order", 1) != 0;
-          shape.stages.push_back(std::move(stage));
-        }
-      }
-    }
-    shapes.push_back(std::move(shape));
-  }
-  return shapes;
 }
 
 }  // namespace patty::transform

@@ -13,13 +13,15 @@
 // into one Frame per stream element. Heap state (objects, arrays, lists) is
 // shared across elements through the reference values inside the snapshot —
 // exactly the aliasing the dependence analysis reasoned about. Scalar
-// loop-carried state in outer locals cannot be expressed this way; the plan
-// builder detects it and falls back to sequential execution for that loop
-// (the SequentialExecution tuning parameter exists for precisely this kind
-// of bail-out), except for recognized reductions, which run as
-// parallel-reduce with per-chunk identity accumulators. Without a tuning
-// file the same fallback is taken by every region the design-time cost
-// model (tuning/model) predicts to run slower in parallel.
+// loop-carried state in outer locals cannot be expressed this way; the
+// region plan (patterns/region_plan) detects it and the executor falls back
+// to sequential execution for that loop (the SequentialExecution tuning
+// parameter exists for precisely this kind of bail-out), except for
+// recognized reductions, which run as parallel-reduce with per-chunk
+// identity accumulators. Without a tuning file the same fallback is taken
+// by every region the design-time cost model (tuning/model) predicts to
+// run slower in parallel. The executor builds each candidate's plan once,
+// at construction, and every run reads it.
 
 #include <memory>
 #include <string>
@@ -90,54 +92,5 @@ std::string gate_note(const tuning::SpeedupPrediction& prediction,
 /// parameters at their defaults) — the artifact written next to the
 /// transformed program (figure 3c).
 rt::TuningConfig default_tuning(const std::vector<patterns::Candidate>& candidates);
-
-/// One concurrently schedulable unit of a region: a pipeline stage, the
-/// whole data-parallel loop body, or one master/worker task.
-struct StageShape {
-  std::string label;
-  /// Concurrent instances of the stage under the tuning. 0 means the
-  /// runtime default (one worker per hardware thread) — i.e. "more than
-  /// one" for any machine this matters on.
-  int replication = 1;
-  /// Pipeline stages only: whether the stage preserves element order.
-  bool preserve_order = true;
-  std::vector<const lang::Stmt*> stmts;
-};
-
-/// Geometry of the fork-join region the executor would create for one
-/// candidate under a given tuning: which statements run concurrently and at
-/// what replication, or why the region degrades to sequential. This is the
-/// plan's structure with the execution machinery stripped away — the MHP
-/// certifier builds its region graph from it (transform/certify).
-///
-/// Stream generation (the loop header) is not a stage: the executor
-/// materializes every element in the outer frame before the region forks,
-/// so header effects are ordered before all stage effects.
-struct RegionShape {
-  const patterns::Candidate* candidate = nullptr;
-  /// Method whose body contains the region's statements.
-  const lang::MethodDecl* method = nullptr;
-  /// True when the executor would take the sequential fallback for this
-  /// candidate (unsafe plan or SequentialExecution tuning) — the region
-  /// never forks, so nothing in it overlaps.
-  bool sequential = false;
-  std::string sequential_reason;
-  /// Canonical element-index slot snapshotted into stage frames, -1 if none.
-  int induction_slot = -1;
-  /// Privatized reduction accumulator slot, -1 if none.
-  int reduction_slot = -1;
-  std::vector<StageShape> stages;
-};
-
-/// Compute the region shapes the executor's plan builder would arm for
-/// these candidates, honouring `tuning` exactly like the executor does
-/// (same safety bail-outs, same parameter lookups). The executor's
-/// prediction gate is left out: it decides for this machine, while a shape
-/// is certified for any. Shapes alias the program's AST and the candidate
-/// vector — keep both alive.
-std::vector<RegionShape> plan_region_shapes(
-    const lang::Program& program,
-    const std::vector<patterns::Candidate>& candidates,
-    const rt::TuningConfig* tuning = nullptr);
 
 }  // namespace patty::transform

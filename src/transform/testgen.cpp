@@ -7,6 +7,7 @@
 #include "analysis/interpreter.hpp"
 #include "analysis/profiler.hpp"
 #include "lang/sema.hpp"
+#include "patterns/region_plan.hpp"
 #include "race/explorer.hpp"
 #include "transform/plan.hpp"
 
@@ -34,6 +35,16 @@ rt::TuningConfig config_with(const Candidate& c,
   return config;
 }
 
+/// `config` with every StageFusion flag on.
+rt::TuningConfig fuse_all(rt::TuningConfig config) {
+  for (const auto& [name, p] : config.params()) {
+    (void)p;
+    if (name.compare(patterns::knob_prefix(name).size(), 4, "fuse") == 0)
+      config.set(name, 1);
+  }
+  return config;
+}
+
 }  // namespace
 
 std::vector<ParallelUnitTest> generate_unit_tests(
@@ -50,18 +61,14 @@ std::vector<ParallelUnitTest> generate_unit_tests(
         tests.push_back({base + "/max-replication-ordered", &c,
                          config_with(c, {{".replication", R}, {".order", 1}}),
                          false});
-        tests.push_back({base + "/fused", &c,
-                         config_with(c, {{".replication", 1}}),
+        tests.push_back(
+            {base + "/fused", &c, fuse_all(default_tuning({c})), false});
+        // Fused groups that hold a replicable stage: each runs at the
+        // replication its plan gives it, 1 where it holds a stage that
+        // prints or carries state.
+        tests.push_back({base + "/fused-max-replication", &c,
+                         fuse_all(config_with(c, {{".replication", R}})),
                          false});
-        // Turn on every fusion flag.
-        {
-          rt::TuningConfig fused = default_tuning({c});
-          for (const auto& [name, p] : fused.params()) {
-            (void)p;
-            if (name.find(".fuse") != std::string::npos) fused.set(name, 1);
-          }
-          tests.back().config = std::move(fused);
-        }
         tests.push_back({base + "/tiny-buffers", &c,
                          config_with(c, {{".buffer", 1}, {".replication", R}}),
                          false});

@@ -32,18 +32,6 @@ double clamp(double v, double lo, double hi) {
   return std::max(lo, std::min(hi, v));
 }
 
-/// "Class.Method.pipeline@38.buffer" -> "Class.Method.pipeline@38."
-/// (including the trailing dot); bare names like the benches use -> "".
-std::string knob_prefix_of(const std::string& name) {
-  for (const char* marker : {"pipeline@", "parfor@", "masterworker@"}) {
-    const std::size_t pos = name.find(marker);
-    if (pos == std::string::npos) continue;
-    const std::size_t dot = name.find('.', pos);
-    if (dot != std::string::npos) return name.substr(0, dot + 1);
-  }
-  return "";
-}
-
 // ---- Knob slots -----------------------------------------------------------
 
 /// Slot of a knob the bound space lacks: the model's default applies.
@@ -137,9 +125,9 @@ class PipelineModel final : public CostModel {
         return p.startup_us + n * total_svc;
       }
 
-      // StageFusion merges adjacent stages (chains merge runs), mirroring
-      // the runtime Pipeline: service times sum, replication takes the max
-      // of the members' knobs (non-replicable members pin theirs at 1), and
+      // StageFusion merges adjacent stages (chains merge runs), as the
+      // region plan does: service times sum, replication takes the max of
+      // the members' knobs, or 1 where a member is non-replicable, and
       // order preservation is ORed across replicated members.
       std::size_t groups = 0;
       for (std::size_t i = 0; i < stages.size(); ++i)
@@ -163,31 +151,34 @@ class PipelineModel final : public CostModel {
       double g_service = 0.0;
       double g_replication = 1.0;
       bool g_ordered = false;
+      bool g_pinned = false;  // holds a non-replicable stage
       auto fold = [&] {
-        workers += g_replication;
+        const double r = g_pinned ? 1.0 : g_replication;
+        workers += r;
         fill += g_service;
-        const double reorder = g_ordered ? p.reorder_us : 0.0;
+        const double reorder = r > 1.0 && g_ordered ? p.reorder_us : 0.0;
         work += g_service + reorder;
-        bottleneck = std::max(bottleneck, g_service / g_replication + reorder);
+        bottleneck = std::max(bottleneck, g_service / r + reorder);
       };
       for (std::size_t i = 0; i < stages.size(); ++i) {
-        double r = 1.0;
-        bool ordered = false;
-        if (p.stages[i].replicable) {
-          r = static_cast<double>(std::max<std::int64_t>(
-              1, knob(v, stages[i].replication, 1)));
-          ordered = r > 1.0 && knob(v, stages[i].order, 1) != 0;
-        }
+        const bool pinned = !p.stages[i].replicable;
+        const double r =
+            pinned ? 1.0
+                   : static_cast<double>(std::max<std::int64_t>(
+                         1, knob(v, stages[i].replication, 1)));
+        const bool ordered = r > 1.0 && knob(v, stages[i].order, 1) != 0;
         const double svc = service(i, v, c);
         if (knob(v, stages[i].fuse_prev, 0) != 0) {
           g_service += svc;
           g_replication = std::max(g_replication, r);
           g_ordered = g_ordered || ordered;
+          g_pinned = g_pinned || pinned;
         } else {
           if (i > 0) fold();
           g_service = svc;
           g_replication = r;
           g_ordered = ordered;
+          g_pinned = pinned;
         }
       }
       if (!stages.empty()) fold();
@@ -355,6 +346,23 @@ class SumModel final : public CostModel {
   std::vector<std::shared_ptr<const CostModel>> parts_;
 };
 
+/// Mean relative error of (predicted, measured) points after the
+/// least-squares scale (min_s sum(s*p - m)^2): model units are
+/// microseconds, measured units are whatever the MeasureFn returns.
+double scaled_error(const std::vector<std::pair<double, double>>& points) {
+  double pm = 0.0, pp = 0.0;
+  for (const auto& [pred, meas] : points) {
+    pm += pred * meas;
+    pp += pred * pred;
+  }
+  if (pp <= 0.0) return 0.0;
+  const double s = pm / pp;
+  double err = 0.0;
+  for (const auto& [pred, meas] : points)
+    err += std::fabs(s * pred - meas) / meas;
+  return err / static_cast<double>(points.size());
+}
+
 }  // namespace
 
 int Hardware::effective() const {
@@ -462,24 +470,14 @@ MasterWorkerModelParams fit_master_worker(
 double mean_relative_error(
     const CostModel& model, const Hardware& hw,
     const std::vector<std::pair<rt::TuningConfig, double>>& measured) {
-  // Model units are microseconds, measured units are whatever the MeasureFn
-  // returns: compare after the least-squares scale (min_s sum(s*p - m)^2).
-  double pm = 0.0, pp = 0.0;
   std::vector<std::pair<double, double>> points;
   for (const auto& [config, score] : measured) {
     if (!(score > 0.0) || !std::isfinite(score)) continue;
     const double pred = model.predict(config, hw);
     if (!(pred > 0.0) || !std::isfinite(pred)) continue;
     points.emplace_back(pred, score);
-    pm += pred * score;
-    pp += pred * pred;
   }
-  if (points.empty() || pp <= 0.0) return 0.0;
-  const double s = pm / pp;
-  double err = 0.0;
-  for (const auto& [pred, meas] : points)
-    err += std::fabs(s * pred - meas) / meas;
-  return err / static_cast<double>(points.size());
+  return scaled_error(points);
 }
 
 // ---- Searching a knob space by prediction ---------------------------------
@@ -561,7 +559,7 @@ constexpr double kNominalBodyUs = 100.0;
 constexpr double kNominalElements = 256.0;
 
 std::string candidate_prefix(const patterns::Candidate& c) {
-  return c.tuning.empty() ? "" : knob_prefix_of(c.tuning.front().name);
+  return c.tuning.empty() ? "" : patterns::knob_prefix(c.tuning.front().name);
 }
 
 /// A leaf for a one-line note: whole numbers from 10 up, else two digits.
@@ -569,6 +567,24 @@ std::string leaf_num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, v >= 10.0 ? "%.0f" : "%.2g", v);
   return buf;
+}
+
+/// One StageCost per stage of the plan's graph: its share of an element's
+/// cost, discounted by stage_scale (1.0 = undiscounted).
+PipelineModelParams pipeline_params(const patterns::RegionPlan& plan,
+                                    double elements, double item_us,
+                                    const std::vector<double>& stage_scale) {
+  PipelineModelParams p;
+  p.knob_prefix = candidate_prefix(*plan.candidate);
+  p.elements = elements;
+  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+    const patterns::PlanStage& s = plan.stages[i];
+    const double scale = i < stage_scale.size() ? stage_scale[i] : 1.0;
+    p.stages.push_back({s.label,
+                        std::max(0.01, s.runtime_share) * item_us * scale,
+                        s.replicable, nullptr});
+  }
+  return p;
 }
 
 /// A candidate's design-time model and the leaves it was built from.
@@ -580,9 +596,10 @@ struct DesignModel {
 /// Design-time model with per-stage service discounts (1.0 = undiscounted):
 /// predict_speedups shrinks the share of a stage or body that contains an
 /// already-predicted nested candidate.
-DesignModel candidate_model_scaled(const patterns::Candidate& c,
-                                   const std::vector<double>& stage_scale,
-                                   double body_scale) {
+DesignModel design_model_scaled(const patterns::RegionPlan& plan,
+                                const std::vector<double>& stage_scale,
+                                double body_scale) {
+  const patterns::Candidate& c = *plan.candidate;
   const std::string prefix = candidate_prefix(c);
   // One element (a loop iteration) or task: profiled, else nominal.
   const bool profiled = c.kind == patterns::PatternKind::MasterWorker
@@ -606,21 +623,10 @@ DesignModel candidate_model_scaled(const patterns::Candidate& c,
   }
   DesignModel out;
   switch (c.kind) {
-    case patterns::PatternKind::Pipeline: {
-      PipelineModelParams p;
-      p.knob_prefix = prefix;
-      p.elements = count;
-      for (std::size_t i = 0; i < c.stages.size(); ++i) {
-        const patterns::StageSpec& s = c.stages[i];
-        const double scale =
-            i < stage_scale.size() ? stage_scale[i] : 1.0;
-        p.stages.push_back({s.label,
-                            std::max(0.01, s.runtime_share) * item_us * scale,
-                            s.replicable && !s.writes_io, nullptr});
-      }
-      out.model = make_pipeline_model(std::move(p));
+    case patterns::PatternKind::Pipeline:
+      out.model = make_pipeline_model(
+          pipeline_params(plan, count, item_us, stage_scale));
       break;
-    }
     case patterns::PatternKind::DataParallelLoop: {
       LoopModelParams p;
       p.knob_prefix = prefix;
@@ -680,14 +686,15 @@ SpeedupPrediction predict_over_space(
   return out;
 }
 
-/// Predict one candidate over its own tuning domain, from its model with
-/// the given nesting discounts.
-SpeedupPrediction predict_scaled(const patterns::Candidate& c,
+/// Predict one candidate over its own tuning domain, from its plan's model
+/// with the given nesting discounts.
+SpeedupPrediction predict_scaled(const patterns::RegionPlan& plan,
                                  const std::vector<double>& stage_scale,
                                  double body_scale, const Hardware& hw) {
+  const patterns::Candidate& c = *plan.candidate;
   rt::TuningConfig config;
   for (const rt::TuningParameter& p : c.tuning) config.define(p);
-  DesignModel dm = candidate_model_scaled(c, stage_scale, body_scale);
+  DesignModel dm = design_model_scaled(plan, stage_scale, body_scale);
   SpeedupPrediction out = predict_over_space(dm.model, std::move(config),
                                              candidate_prefix(c), hw);
   out.leaves = std::move(dm.leaves);
@@ -696,21 +703,38 @@ SpeedupPrediction predict_scaled(const patterns::Candidate& c,
 
 }  // namespace
 
+PipelineModelParams design_pipeline(const patterns::RegionPlan& plan) {
+  const patterns::Candidate& c = *plan.candidate;
+  const bool profiled = c.trips_per_entry > 0.0;
+  return pipeline_params(
+      plan, profiled ? c.trips_per_entry : kNominalElements,
+      profiled ? c.cost_per_iteration * kUsPerCost : kNominalBodyUs, {});
+}
+
 SpeedupPrediction predict_candidate_speedup(const patterns::Candidate& c,
                                             Hardware hw) {
-  return predict_scaled(c, {}, 1.0, hw);
+  return predict_scaled(patterns::plan_region(c, nullptr), {}, 1.0, hw);
 }
 
 std::vector<SpeedupPrediction> predict_speedups(
     const std::vector<patterns::Candidate>& candidates, Hardware hw) {
+  std::vector<patterns::RegionPlan> plans;
+  plans.reserve(candidates.size());
+  for (const patterns::Candidate& c : candidates)
+    plans.push_back(patterns::plan_region(c, nullptr));
+  return predict_speedups(plans, hw);
+}
+
+std::vector<SpeedupPrediction> predict_speedups(
+    const std::vector<patterns::RegionPlan>& plans, Hardware hw) {
   // Innermost first (shortest source range), so an outer region composes
   // over its nested candidates' already-computed predictions.
-  std::vector<SpeedupPrediction> out(candidates.size());
-  std::vector<bool> done(candidates.size(), false);
-  std::vector<std::size_t> order(candidates.size());
+  std::vector<SpeedupPrediction> out(plans.size());
+  std::vector<bool> done(plans.size(), false);
+  std::vector<std::size_t> order(plans.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   auto span_lines = [&](std::size_t i) {
-    const lang::Stmt* a = candidates[i].anchor;
+    const lang::Stmt* a = plans[i].candidate->anchor;
     return a ? static_cast<long>(a->range.end.line) -
                    static_cast<long>(a->range.begin.line)
              : 0L;
@@ -720,6 +744,12 @@ std::vector<SpeedupPrediction> predict_speedups(
                      return span_lines(a) < span_lines(b);
                    });
 
+  auto holds = [](const patterns::PlanStage& stage, const lang::Stmt& st) {
+    for (const patterns::PlanMember& m : stage.members)
+      if (std::find(m.stmts.begin(), m.stmts.end(), &st) != m.stmts.end())
+        return true;
+    return false;
+  };
   auto contains = [](const patterns::Candidate& outer,
                      const patterns::Candidate& inner) {
     if (!outer.anchor || !inner.anchor || outer.anchor == inner.anchor)
@@ -729,15 +759,16 @@ std::vector<SpeedupPrediction> predict_speedups(
   };
 
   for (std::size_t oi : order) {
-    const patterns::Candidate& c = candidates[oi];
+    const patterns::RegionPlan& plan = plans[oi];
+    const patterns::Candidate& c = *plan.candidate;
     // Discount work a nested, already-predicted candidate will absorb:
     // profiler shares are inclusive, so the inner region's share of the
     // enclosing stage shrinks by the speedup in force when it runs untuned
     // (1.0 where the executor's gate runs it sequentially).
-    std::vector<double> stage_scale(c.stages.size(), 1.0);
+    std::vector<double> stage_scale(plan.stages.size(), 1.0);
     double body_scale = 1.0;
-    for (std::size_t ii = 0; ii < candidates.size(); ++ii) {
-      const patterns::Candidate& in = candidates[ii];
+    for (std::size_t ii = 0; ii < plans.size(); ++ii) {
+      const patterns::Candidate& in = *plans[ii].candidate;
       if (ii == oi || !done[ii] || !contains(c, in)) continue;
       const double f =
           c.runtime_share > 0.0
@@ -746,11 +777,9 @@ std::vector<SpeedupPrediction> predict_speedups(
       if (f <= 0.0) continue;
       const double spd = std::max(1.0, out[ii].default_speedup);
       if (c.kind == patterns::PatternKind::Pipeline && in.anchor) {
-        for (std::size_t s = 0; s < c.stages.size(); ++s) {
-          const auto& ids = c.stages[s].stmt_ids;
-          if (std::find(ids.begin(), ids.end(), in.anchor->id) == ids.end())
-            continue;
-          const double share = std::max(0.01, c.stages[s].runtime_share);
+        for (std::size_t s = 0; s < plan.stages.size(); ++s) {
+          if (!holds(plan.stages[s], *in.anchor)) continue;
+          const double share = std::max(0.01, plan.stages[s].runtime_share);
           const double frac = std::min(f, share) / share;
           stage_scale[s] = std::max(
               0.05, stage_scale[s] * (1.0 - frac + frac / spd));
@@ -759,7 +788,7 @@ std::vector<SpeedupPrediction> predict_speedups(
         body_scale = std::max(0.05, body_scale * (1.0 - f + f / spd));
       }
     }
-    out[oi] = predict_scaled(c, stage_scale, body_scale, hw);
+    out[oi] = predict_scaled(plan, stage_scale, body_scale, hw);
     done[oi] = true;
   }
   return out;
@@ -784,7 +813,7 @@ std::string classify_space(const std::vector<std::string>& names,
                            std::vector<std::string>* labels_out) {
   std::string prefix;
   for (const std::string& n : names) {
-    prefix = knob_prefix_of(n);
+    prefix = patterns::knob_prefix(n);
     if (!prefix.empty()) break;
   }
   bool pipeline = false, loop = false, mw = false;
@@ -955,23 +984,10 @@ class ModelGuidedTuner final : public Tuner {
 
     // Prediction quality over the validated points, least-squares scaled
     // (same convention as mean_relative_error).
-    double pm = 0.0, pp = 0.0;
-    for (const auto& [pred, meas] : info.validations) {
-      if (!(meas > 0.0)) continue;
-      pm += pred * meas;
-      pp += pred * pred;
-    }
-    if (pp > 0.0) {
-      const double s = pm / pp;
-      double err = 0.0;
-      std::size_t n = 0;
-      for (const auto& [pred, meas] : info.validations) {
-        if (!(meas > 0.0)) continue;
-        err += std::fabs(s * pred - meas) / meas;
-        ++n;
-      }
-      if (n > 0) info.fit_error = err / static_cast<double>(n);
-    }
+    std::vector<std::pair<double, double>> points;
+    for (const auto& point : info.validations)
+      if (point.second > 0.0) points.push_back(point);
+    info.fit_error = scaled_error(points);
 
     info.used = true;
     info.family = family;

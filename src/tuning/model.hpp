@@ -42,7 +42,7 @@
 
 #include "observe/explain.hpp"
 #include "observe/snapshot.hpp"
-#include "patterns/candidate.hpp"
+#include "patterns/region_plan.hpp"
 #include "runtime/tuning.hpp"
 #include "tuning/tuner.hpp"
 
@@ -208,12 +208,19 @@ struct SpeedupPrediction {
 /// (Candidate::trips_per_entry, cost_per_iteration, task_costs, with the
 /// stage shares splitting a pipeline's iteration), converted to
 /// microseconds at kUsPerCost; a candidate the profile never reached gets
-/// nominal leaves (256 elements x 100 us). Then enumerate the candidate's
-/// own tuning domain under it and report the predicted best configuration
-/// and its speedup over sequential. No telemetry needed: this is the
-/// design-time "is this region worth parallelizing on this machine" answer.
+/// nominal leaves (256 elements x 100 us). A pipeline's model has one stage
+/// per stage of the candidate's region plan (patterns/region_plan), so a
+/// section is one non-replicable stage whose service is its members' sum.
+/// Then enumerate the candidate's own tuning domain under it and report
+/// the predicted best configuration and its speedup over sequential. No
+/// telemetry needed: this is the design-time "is this region worth
+/// parallelizing on this machine" answer.
 SpeedupPrediction predict_candidate_speedup(const patterns::Candidate& c,
                                             Hardware hw = {});
+
+/// The design-time pipeline model's parameters for a pipeline's plan: one
+/// StageCost per plan stage, at the candidate's leaves.
+PipelineModelParams design_pipeline(const patterns::RegionPlan& plan);
 
 /// Predict every candidate, one result per candidate in order. Nested
 /// candidates (anchor statement inside an outer candidate's body) compose
@@ -223,6 +230,12 @@ SpeedupPrediction predict_candidate_speedup(const patterns::Candidate& c,
 /// runs it sequentially).
 std::vector<SpeedupPrediction> predict_speedups(
     const std::vector<patterns::Candidate>& candidates, Hardware hw = {});
+
+/// The same from the candidates' region plans, one per candidate in order:
+/// the models read only the plans' stage graphs, which no tuning changes,
+/// so the plan executor passes its own plans instead of planning twice.
+std::vector<SpeedupPrediction> predict_speedups(
+    const std::vector<patterns::RegionPlan>& plans, Hardware hw = {});
 
 /// Fill Candidate::predicted_speedup (the best tuned speedup) for every
 /// candidate from predict_speedups.

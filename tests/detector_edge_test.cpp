@@ -140,8 +140,7 @@ class Main {
 })");
   bool saw_pipeline = false, saw_parfor = false, saw_mw = false;
   for (const Candidate& c : d.result.candidates) {
-    const std::string code =
-        transform::generate_parallel_source(*d.program, c);
+    const std::string code = transform::generate_parallel_source(c);
     EXPECT_FALSE(code.empty());
     switch (c.kind) {
       case PatternKind::Pipeline:

@@ -635,9 +635,10 @@ TEST(SoundnessDifferentialTest, RacedResidueNeverClaimedOrdered) {
 
     // Recompute the MHP facts the certifier used (same deterministic
     // pipeline) so probe outcomes can be checked against the relation.
-    const std::vector<RegionShape> shapes =
-        plan_region_shapes(*a.program, a.candidates, nullptr);
-    const analysis::MhpGraph graph = build_region_graph(shapes);
+    std::vector<patterns::RegionPlan> plans;
+    for (const patterns::Candidate& c : a.candidates)
+      if (c.anchor) plans.push_back(patterns::plan_region(c, nullptr));
+    const analysis::MhpGraph graph = build_region_graph(plans);
     const analysis::MhpFacts facts(graph);
 
     // Internal consistency: "ordered" is exactly the MHP-false discharge.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -12,9 +13,13 @@
 #include "corpus/corpus.hpp"
 #include "lang/printer.hpp"
 #include "lang/sema.hpp"
+#include "observe/explain.hpp"
+#include "observe/trace.hpp"
+#include "patterns/region_plan.hpp"
 #include "runtime/thread_pool.hpp"
 #include "patterns/detector.hpp"
 #include "race/explorer.hpp"
+#include "transform/certify.hpp"
 #include "transform/codegen.hpp"
 #include "transform/plan.hpp"
 #include "transform/testgen.hpp"
@@ -274,8 +279,8 @@ TEST(PlanTest, HandwrittenPredictedSpeedupsAreGolden) {
   const std::map<std::string, std::vector<std::pair<double, double>>> golden =
       {
           {"avistream",
-           {{1, 0.50286844508580109},
-            {1, 0.23704500627577552},
+           {{1, 0.55261129686001176},
+            {1, 0.30383819811537577},
             {1, 0.16340531690964372}}},
           {"raytracer",
            {{1.996661033440877, 1.996661033440877},
@@ -641,6 +646,298 @@ TEST(CodegenTest, PipelineArtifactsHaveFigureThreeShape) {
   EXPECT_NE(artifacts.parallel_source.find("new Item"), std::string::npos);
   // Annotations were stripped again.
   EXPECT_EQ(lang::print_program(*program).find("@tadl"), std::string::npos);
+}
+
+TEST(CodegenTest, AvistreamPipelineSourceIsGolden) {
+  // Figure 3d for avistream's pipeline@38: an Item per stage member, the
+  // section as a MasterWorker, and a replicable line for D alone. A, B and
+  // C run once per element inside the section.
+  const char* golden = R"(// generated by patty: (A+ || B+ || C+) => D+ => E
+list<Image> Process(list<Image> aviIn) {
+  Item pA = new Item(Image c = cropFilter.Apply(i););
+  Item pB = new Item(Image h = histogramFilter.Apply(i););
+  Item pC = new Item(Image o = oilFilter.Apply(i););
+  Item pD = new Item(Image r = conv.Apply(c, h, o););
+  Item pE = new Item(push(aviOut, r););
+  MasterWorker mw0 = new MasterWorker(pA, pB, pC);
+  pipeline.Item(pD).replicable = true;
+  Pipeline pipeline = new Pipeline(mw0, pD, pE);
+  pipeline.Input = aviIn;
+  pipeline.LoadTuning("patty.tuning");
+  // tuning: replication, order, fusion, sequential, buffer, batch
+  try { pipeline.Run(); }
+  catch (Exception e) {
+    // fault tolerance: a stage fault cancels the region; degrade
+    // to the SequentialExecution tuning parameter and replay
+    pipeline.Tuning.Set("sequential", 1);
+    pipeline.Run();
+  }
+}
+)";
+  const Gated g = analyse(corpus::avistream().source.c_str());
+  ASSERT_TRUE(g.program);
+  const patterns::Candidate* pipe = nullptr;
+  for (const patterns::Candidate& c : g.candidates)
+    if (c.location() == "38:5-44:6") pipe = &c;
+  ASSERT_NE(pipe, nullptr);
+  EXPECT_EQ(generate_parallel_source(*pipe), golden);
+}
+
+// --- Region plans --------------------------------------------------------------
+
+/// Every knob of `config` whose name after its candidate's prefix starts
+/// with `tail_start` and ends with `suffix`, set to `value`.
+void set_knobs(rt::TuningConfig* config, const std::string& tail_start,
+               const std::string& suffix, std::int64_t value) {
+  for (const auto& [name, p] : config->params()) {
+    (void)p;
+    const std::string tail = name.substr(patterns::knob_prefix(name).size());
+    if (tail.rfind(tail_start, 0) == 0 && tail.size() >= suffix.size() &&
+        tail.compare(tail.size() - suffix.size(), suffix.size(), suffix) == 0)
+      config->set(name, value);
+  }
+}
+
+/// The three tunings every reader is checked at: the defaults, every
+/// replication knob at 4, and that with every fuse flag on.
+std::vector<rt::TuningConfig> agreement_tunings(
+    const std::vector<patterns::Candidate>& candidates) {
+  std::vector<rt::TuningConfig> out(3, default_tuning(candidates));
+  set_knobs(&out[1], "stage", ".replication", 4);
+  set_knobs(&out[2], "stage", ".replication", 4);
+  set_knobs(&out[2], "fuse", "", 1);
+  return out;
+}
+
+/// The Items codegen prints for a plan: the text of each "Item" line.
+std::vector<std::string> plan_items(const patterns::RegionPlan& plan) {
+  std::vector<std::string> items;
+  for (const patterns::PlanStage& stage : plan.stages) {
+    for (std::size_t k = 0; k < stage.members.size(); ++k) {
+      const patterns::PlanMember& m = stage.members[k];
+      std::string text;
+      for (const lang::Stmt* st : m.stmts) {
+        std::string line = lang::print_stmt(*st, 0);
+        std::replace(line.begin(), line.end(), '\n', ' ');
+        while (!line.empty() && line.back() == ' ') line.pop_back();
+        text += (text.empty() ? "" : " ") + line;
+      }
+      const std::string name =
+          plan.candidate->kind == patterns::PatternKind::MasterWorker
+              ? "t" + std::to_string(k)
+              : "p" + m.label;
+      items.push_back("  Item " + name + " = new Item(" + text + ");");
+    }
+  }
+  return items;
+}
+
+/// The "Item" lines of a generated source, in order.
+std::vector<std::string> source_items(const std::string& source) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (start < source.size()) {
+    std::size_t end = source.find('\n', start);
+    if (end == std::string::npos) end = source.size();
+    const std::string line = source.substr(start, end - start);
+    if (line.rfind("  Item ", 0) == 0) items.push_back(line);
+    start = end + 1;
+  }
+  return items;
+}
+
+/// Runs one pipeline candidate alone under the executor, as testgen does,
+/// with telemetry on, and checks every published run against the plan's
+/// resolved stages. Returns whether the region ran in parallel.
+bool published_stages_follow_plan(const lang::Program& program,
+                                  const patterns::RegionPlan& plan,
+                                  const rt::TuningConfig& config,
+                                  const std::string& where) {
+  const bool was = observe::enabled();
+  observe::set_enabled(true);
+  observe::clear_pipelines();
+  ParallelPlanExecutor executor(program, {*plan.candidate}, &config);
+  executor.run_main();
+  observe::set_enabled(was);
+  const std::vector<observe::PipelineObservation> published =
+      observe::recent_pipelines();
+  const std::vector<PlanReport> reports = executor.reports();
+  const bool ran = !reports.empty() && reports.front().ran_parallel;
+  EXPECT_EQ(ran, !published.empty()) << where;
+  if (plan.sequential()) {
+    EXPECT_TRUE(published.empty()) << where;
+  }
+  for (const observe::PipelineObservation& obs : published) {
+    EXPECT_FALSE(obs.sequential) << where;
+    EXPECT_EQ(obs.stages.size(), plan.resolved.size()) << where;
+    for (std::size_t s = 0;
+         s < std::min(obs.stages.size(), plan.resolved.size()); ++s) {
+      EXPECT_EQ(obs.stages[s].name, plan.resolved[s].label) << where;
+      EXPECT_EQ(obs.stages[s].replication, plan.resolved[s].replication)
+          << where;
+    }
+  }
+  return ran;
+}
+
+TEST(RegionPlanTest, EveryReaderFollowsThePlan) {
+  std::vector<corpus::CorpusProgram> programs =
+      corpus::synthetic_suite(20, 20150207);
+  for (const corpus::CorpusProgram* p : corpus::handwritten())
+    programs.push_back(*p);
+#ifdef PATTY_OBSERVE_DISABLED
+  const bool telemetry = false;  // the executor part needs published runs
+#else
+  const bool telemetry = true;
+#endif
+  std::size_t regions = 0, sections = 0, fused = 0, pipelines_run = 0;
+  for (const corpus::CorpusProgram& p : programs) {
+    const Gated g = analyse(p.source.c_str());
+    ASSERT_TRUE(g.program) << p.name;
+    const std::vector<rt::TuningConfig> tunings =
+        agreement_tunings(g.candidates);
+    for (std::size_t t = 0; t < tunings.size(); ++t) {
+      std::vector<patterns::RegionPlan> plans;
+      for (const patterns::Candidate& c : g.candidates)
+        if (c.anchor) plans.push_back(patterns::plan_region(c, &tunings[t]));
+      const analysis::MhpGraph graph = build_region_graph(plans);
+      std::size_t node = 0;
+      for (std::size_t r = 0; r < plans.size(); ++r) {
+        const patterns::RegionPlan& plan = plans[r];
+        const patterns::Candidate& c = *plan.candidate;
+        const std::string where =
+            p.name + " " + c.location() + " tuning " + std::to_string(t);
+        ++regions;
+        // The certifier: one node per member of each resolved stage, at
+        // the stage's replication. A section's members and any stage that
+        // cannot replicate run once per element.
+        for (const patterns::PlanStage& stage : plan.resolved) {
+          if (stage.members.size() > 1) ++sections;
+          if (stage.label.find('+') != std::string::npos) ++fused;
+          if (!stage.replicable) {
+            EXPECT_EQ(stage.replication, 1) << where;
+          }
+          for (const patterns::PlanMember& m : stage.members) {
+            ASSERT_LT(node, graph.nodes.size()) << where;
+            const analysis::MhpNode& n = graph.nodes[node++];
+            EXPECT_EQ(n.region, static_cast<int>(r)) << where;
+            EXPECT_EQ(n.stmts, m.stmts) << where;
+            EXPECT_EQ(n.multiplicity,
+                      stage.replication == 0 ? 2 : stage.replication)
+                << where;
+          }
+        }
+        // Codegen's Items.
+        if (c.kind != patterns::PatternKind::DataParallelLoop) {
+          EXPECT_EQ(source_items(generate_parallel_source(c)),
+                    plan_items(plan))
+              << where;
+        }
+        if (c.kind != patterns::PatternKind::Pipeline) continue;
+        // The design-time model's stages.
+        const tuning::PipelineModelParams model = tuning::design_pipeline(plan);
+        ASSERT_EQ(model.stages.size(), plan.stages.size()) << where;
+        for (std::size_t s = 0; s < plan.stages.size(); ++s) {
+          EXPECT_EQ(model.stages[s].label, plan.stages[s].label) << where;
+          EXPECT_EQ(model.stages[s].replicable, plan.stages[s].replicable)
+              << where;
+        }
+        // The executor's published stages.
+        if (telemetry &&
+            published_stages_follow_plan(*g.program, plan, tunings[t], where))
+          ++pipelines_run;
+      }
+      EXPECT_EQ(node, graph.nodes.size()) << p.name;
+    }
+  }
+  // Not vacuous: sections, fused groups and executed pipelines all occur.
+  EXPECT_GT(regions, 100u);
+  EXPECT_GT(sections, 0u);
+  EXPECT_GT(fused, 0u);
+  if (telemetry) {
+    EXPECT_GT(pipelines_run, 20u);
+  }
+}
+
+// A+ => B: Cook replicates, the print does not.
+const char* kCookThenPrint = R"(class Main {
+  int Cook(int v) { work(20); return v * 3 + 1; }
+  void main() {
+    list<int> src = new list<int>();
+    for (int k = 0; k < 40; k++) { push(src, k); }
+    foreach (int v in src) {
+      int c = Cook(v);
+      print(c);
+    }
+  }
+})";
+
+/// kCookThenPrint's pipeline tuned to stageA.replication=4, fuseAB=1.
+struct FusedPrint {
+  Gated g;
+  const patterns::Candidate* pipe = nullptr;
+  rt::TuningConfig config;
+};
+
+FusedPrint fused_print() {
+  FusedPrint f;
+  f.g = analyse(kCookThenPrint);
+  for (const patterns::Candidate& c : f.g.candidates)
+    if (c.tadl == "A+ => B") f.pipe = &c;
+  if (!f.pipe) return f;
+  f.config = default_tuning({*f.pipe});
+  set_knobs(&f.config, "stageA", ".replication", 4);
+  set_knobs(&f.config, "fuseAB", "", 1);
+  return f;
+}
+
+TEST(RegionPlanTest, FusedGroupWithAPrintRunsInOrder) {
+  // The fused group holds the print, so it runs at replication 1, not at
+  // A's 4: run at A's replication, the prints came out of order.
+  const FusedPrint f = fused_print();
+  ASSERT_NE(f.pipe, nullptr);
+  const patterns::RegionPlan plan = patterns::plan_region(*f.pipe, &f.config);
+  ASSERT_EQ(plan.resolved.size(), 1u);
+  EXPECT_EQ(plan.resolved[0].label, "A+B");
+  EXPECT_EQ(plan.resolved[0].replication, 1);
+  for (int run = 0; run < 50; ++run) {
+    ParallelPlanExecutor executor(*f.g.program, {*f.pipe}, &f.config);
+    executor.run_main();
+    ASSERT_EQ(executor.output(), f.g.expected) << "run " << run;
+  }
+}
+
+TEST(RegionPlanTest, CertifierGivesAFusedGroupOneNode) {
+  const FusedPrint f = fused_print();
+  ASSERT_NE(f.pipe, nullptr);
+  const analysis::MhpGraph graph =
+      build_region_graph({patterns::plan_region(*f.pipe, &f.config)});
+  ASSERT_EQ(graph.nodes.size(), 1u);
+  EXPECT_EQ(graph.nodes[0].multiplicity, 1);
+  EXPECT_EQ(graph.nodes[0].stmts.size(), 2u);
+  const ProgramCertificate cert =
+      certify_program(*f.g.program, {*f.pipe}, &f.config);
+  EXPECT_EQ(cert.verdict, Verdict::CertifiedStatic);
+  EXPECT_TRUE(cert.summary.pairs.empty());
+}
+
+TEST(RegionPlanTest, SectionMembersRunOncePerElementAtAnyReplication) {
+  // avistream's main pipeline A+ => (B+ || C): at every replication knob
+  // 4, B still runs once per element inside the section, so no instance
+  // of B overlaps another.
+  const Gated g = analyse(corpus::avistream().source.c_str());
+  ASSERT_TRUE(g.program);
+  rt::TuningConfig config = default_tuning(g.candidates);
+  set_knobs(&config, "stage", ".replication", 4);
+  const ProgramCertificate cert =
+      certify_program(*g.program, g.candidates, &config, "avistream");
+  bool saw = false;
+  for (const RegionCertificate& region : cert.regions) {
+    if (region.anchor != "49:5-53:6") continue;
+    saw = true;
+    EXPECT_EQ(region.verdict, Verdict::CertifiedStatic);
+  }
+  EXPECT_TRUE(saw);
 }
 
 // --- Generated unit tests ------------------------------------------------------

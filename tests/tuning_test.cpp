@@ -516,18 +516,26 @@ TEST(DesignTimePredictionTest, ImbalancedPipelineCandidatePredictsSpeedup) {
   cand.stages = {{"A", {}, true, false, 0.2},
                  {"B", {}, true, false, 0.6},
                  {"C", {}, false, true, 0.2}};  // IO stage: never replicated
+  cand.sections = {{0}, {1}, {2}};
   const rt::TuningConfig space = make_pipeline_space();
   for (const auto& [name, param] : space.params())
     cand.tuning.push_back(param);
   const SpeedupPrediction pred = predict_candidate_speedup(cand, Hardware{4});
   EXPECT_GT(pred.speedup, 1.5);
   // The predicted best must be genuinely parallel: not the sequential
-  // escape hatch, and some stage replicated. (Which stage's knob carries
-  // the replication is a tie under full fusion, so don't pin it.)
+  // escape hatch, and some stage replicated.
   EXPECT_FALSE(pred.best.get_bool_or("sequential", true));
   EXPECT_GT(std::max(pred.best.get_or("stageA.replication", 1),
                      pred.best.get_or("stageB.replication", 1)),
             1);
+  // C prints, so a group it is fused into runs at replication 1: the
+  // predicted best never fuses it into a replicated group.
+  if (pred.best.get_bool_or("fuseBC", false)) {
+    EXPECT_EQ(pred.best.get_or("stageB.replication", 1), 1);
+    if (pred.best.get_bool_or("fuseAB", false)) {
+      EXPECT_EQ(pred.best.get_or("stageA.replication", 1), 1);
+    }
+  }
   EXPECT_GT(pred.sequential_cost, 0.0);
   EXPECT_FALSE(pred.summary.empty());
 }
@@ -537,6 +545,7 @@ TEST(DesignTimePredictionTest, AnnotateFillsEveryCandidate) {
   cands[0].kind = patterns::PatternKind::Pipeline;
   cands[0].stages = {{"A", {}, true, false, 0.3},
                      {"B", {}, true, false, 0.7}};
+  cands[0].sections = {{0}, {1}};
   const rt::TuningConfig space = make_pipeline_space();
   for (const auto& [name, param] : space.params())
     cands[0].tuning.push_back(param);
