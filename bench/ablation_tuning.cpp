@@ -10,12 +10,13 @@
 //   SequentialExecution — "pipeline execution never leads to a slowdown in
 //                          comparison to the former sequential version" for
 //                          streams too short to amortize threading
+//
+// Every stage burns real CPU, so the rows measure what the host's cores
+// deliver: run with --benchmark_repetitions=N for medians and spread.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <optional>
-#include <thread>
 
 #include "runtime/pipeline.hpp"
 
@@ -125,53 +126,6 @@ void BM_LongStream(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LongStream)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// --- Emulated-multicore variants ---------------------------------------------
-// This container is single-core: CPU-burning stages cannot overlap, so the
-// variants above mostly measure pipeline plumbing. The variants below model
-// stage compute as timed waits, which overlap across threads exactly as
-// compute overlaps on real cores (documented substitution, DESIGN.md) —
-// they reproduce the paper's throughput shapes.
-
-void wait_units(int units) {
-  std::this_thread::sleep_for(std::chrono::microseconds(units * 20));
-}
-
-/// StageReplication claim: replication 2 ~ doubles bottleneck throughput.
-void BM_StageReplication_Emulated(benchmark::State& state) {
-  const int replication = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Pipeline<Elem> p({
-        {"pre", [](Elem&) { wait_units(1); }, 1, false, false},
-        {"heavy", [](Elem&) { wait_units(8); }, replication, true, false},
-        {"post", [](Elem&) { wait_units(1); }, 1, false, false},
-    });
-    auto stats = p.run(source(150), [](Elem&&) {});
-    benchmark::DoNotOptimize(stats.elements);
-  }
-}
-BENCHMARK(BM_StageReplication_Emulated)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// Pipeline vs sequential on a long stream: parallel must win clearly.
-void BM_LongStream_Emulated(benchmark::State& state) {
-  const bool sequential = state.range(0) != 0;
-  PipelineConfig config;
-  config.sequential = sequential;
-  for (auto _ : state) {
-    Pipeline<Elem> p(
-        {
-            {"a", [](Elem&) { wait_units(4); }, 1, false, false},
-            {"b", [](Elem&) { wait_units(4); }, 1, false, false},
-            {"c", [](Elem&) { wait_units(4); }, 1, false, false},
-        },
-        config);
-    auto stats = p.run(source(150), [](Elem&&) {});
-    benchmark::DoNotOptimize(stats.elements);
-  }
-}
-BENCHMARK(BM_LongStream_Emulated)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

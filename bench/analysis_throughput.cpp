@@ -5,25 +5,23 @@
 // whole-program tasks, with parallel_for loop matching + master/worker
 // region scan nested inside), on the shared work-stealing pool.
 //
-// Dynamic analysis runs in emulated-multicore mode (work(n) sleeps instead
-// of burning CPU — DESIGN.md substitutions), so the speedup shape is
-// reproducible on hosts with fewer cores than the paper's testbed; the
-// real-CPU section measures what the host actually delivers (the JSON
-// records cpu_cores so readers can interpret it). The shared pool
-// (max(4, nproc) workers, plus the calling thread) bounds the parallel
-// rows. A large-corpus real-CPU section (default 1000 generated programs)
-// shows how the loop scales with corpus size. Every run's detection
-// fingerprint must equal the sequential one — the bench exits 2 on any
-// divergence, making each timing row also a determinism check.
+// Everything runs on the host's real cores (the JSON records cpu_cores).
+// The study section times kPairs alternated sequential/parallel pairs (the
+// two sides take turns to go first) after one untimed warm-up pass, and
+// reports the median speedup with its interquartile range: one pair swings
+// with the shared host's load. A large-corpus section (default 1000
+// generated programs) shows how the loop scales with corpus size. Every
+// run's detection fingerprint must equal the warm-up's, which is
+// sequential — the bench exits 2 on any divergence, making each timing row
+// also a determinism check.
 //
 // Results go to stdout as a table and to BENCH_analysis.json. Flags:
-//   --short         reduced corpus, no large section (perf-smoke ctest entry)
-//   --programs N    override the study corpus size (default 110, short 20)
+//   --short         no large section (perf-smoke ctest entry)
+//   --programs N    override the study corpus size (default 110)
 //   --large N       large-corpus section size (default 1000, 0 disables)
-//   --assert-smoke  exit nonzero unless the parallel front-end holds its
-//                   bar: emulated speedup > 1.3x always; real-CPU > 1.0x
-//                   when the host has 2+ cores, else overhead-bounded
-//                   (> 0.70x of sequential). Best of 3.
+//   --assert-smoke  exit nonzero unless the study section's median
+//                   speedup beats kSmokeBar (on a host with one hardware
+//                   thread: stays above 0.70x, bounded overhead).
 
 #include <cstdint>
 #include <cstdio>
@@ -35,22 +33,32 @@
 
 #include "corpus/corpus.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/stats.hpp"
 #include "transform/certify.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Alternated sequential/parallel pairs per section.
+constexpr int kStudyPairs = 9;
+constexpr int kLargePairs = 3;
+/// --assert-smoke's bar on the study section's median speedup.
+constexpr double kSmokeBar = 1.3;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
 /// One section: the sequential front-end and the parallel one over the
-/// same corpus.
+/// same corpus, in alternated pairs. Times are medians over the pairs.
 struct ModeResult {
+  int pairs = 0;
   double sequential_s = 0;
   double parallel_s = 0;
-  double speedup = 1;  // sequential_s / parallel_s
+  double speedup = 1;  // median of the pairs' sequential_s / parallel_s
+  double speedup_q25 = 1;
+  double speedup_q75 = 1;
   patty::corpus::DetectionScore total;
 };
 
@@ -58,9 +66,10 @@ struct ModeResult {
 /// fingerprint against `reference` (empty = this run becomes the
 /// reference). Any divergence is a front-end bug: fail loudly.
 double run_once(const std::vector<const patty::corpus::CorpusProgram*>& corpus,
-                const patty::corpus::FrontendConfig& config,
-                std::string* reference,
+                bool parallel, std::string* reference,
                 patty::corpus::DetectionScore* total_out) {
+  patty::corpus::FrontendConfig config;
+  config.parallel = parallel;
   const auto t0 = Clock::now();
   const patty::corpus::CorpusReport report =
       patty::corpus::evaluate_corpus(corpus, config);
@@ -72,40 +81,58 @@ double run_once(const std::vector<const patty::corpus::CorpusProgram*>& corpus,
     std::fprintf(stderr,
                  "DETERMINISM VIOLATION: %s front-end diverged from the "
                  "sequential detection output\n",
-                 config.parallel ? "parallel" : "sequential");
+                 parallel ? "parallel" : "sequential");
     std::exit(2);
   }
   if (total_out) *total_out = report.total;
   return secs;
 }
 
+/// One untimed sequential warm-up pass (it seeds the fingerprint
+/// reference), then `pairs` sequential/parallel pairs, the two sides
+/// taking turns to go first.
 ModeResult run_mode(const std::vector<const patty::corpus::CorpusProgram*>&
                         corpus,
-                    bool work_sleeps, std::uint64_t work_sleep_ns,
-                    std::string* reference) {
+                    int pairs) {
   ModeResult result;
-  patty::corpus::FrontendConfig config;
-  config.work_sleeps = work_sleeps;
-  config.work_sleep_ns = work_sleep_ns;
-
-  config.parallel = false;
-  result.sequential_s = run_once(corpus, config, reference, &result.total);
-  std::printf("  sequential : %7.3fs\n", result.sequential_s);
-
-  config.parallel = true;
-  result.parallel_s = run_once(corpus, config, reference, nullptr);
-  result.speedup = result.sequential_s / result.parallel_s;
-  std::printf("  parallel   : %7.3fs  (%.2fx)\n", result.parallel_s,
-              result.speedup);
+  result.pairs = pairs;
+  std::string reference;
+  run_once(corpus, /*parallel=*/false, &reference, &result.total);
+  std::vector<double> sequential, parallel, speedup;
+  for (int pair = 0; pair < pairs; ++pair) {
+    const bool sequential_first = pair % 2 == 0;
+    double seq = 0, par = 0;
+    if (sequential_first) seq = run_once(corpus, false, &reference, nullptr);
+    par = run_once(corpus, true, &reference, nullptr);
+    if (!sequential_first) seq = run_once(corpus, false, &reference, nullptr);
+    sequential.push_back(seq);
+    parallel.push_back(par);
+    speedup.push_back(seq / par);
+  }
+  const patty::Quantiles q(speedup);
+  result.sequential_s = patty::Quantiles(sequential).q(0.5);
+  result.parallel_s = patty::Quantiles(parallel).q(0.5);
+  result.speedup = q.q(0.5);
+  result.speedup_q25 = q.q(0.25);
+  result.speedup_q75 = q.q(0.75);
+  std::printf("  sequential : %7.4fs  (median of %d)\n", result.sequential_s,
+              pairs);
+  std::printf("  parallel   : %7.4fs  (median of %d)\n", result.parallel_s,
+              pairs);
+  std::printf("  speedup    : %.2fx  (IQR %.2f-%.2fx)\n", result.speedup,
+              result.speedup_q25, result.speedup_q75);
   return result;
 }
 
 void append_mode_json(std::string* json, const ModeResult& mode) {
-  char buf[128];
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "    \"sequential_s\": %.4f, \"parallel_s\": %.4f, "
-                "\"speedup\": %.3f\n",
-                mode.sequential_s, mode.parallel_s, mode.speedup);
+                "    \"pairs\": %d, \"sequential_s\": %.4f, "
+                "\"parallel_s\": %.4f,\n"
+                "    \"speedup\": %.3f, \"speedup_q25\": %.3f, "
+                "\"speedup_q75\": %.3f\n",
+                mode.pairs, mode.sequential_s, mode.parallel_s, mode.speedup,
+                mode.speedup_q25, mode.speedup_q75);
   *json += buf;
 }
 
@@ -121,23 +148,6 @@ std::vector<const patty::corpus::CorpusProgram*> to_pointers(
   }
   if (loc_out) *loc_out = loc;
   return corpus;
-}
-
-/// Best parallel speedup across up to `attempts` re-measurements
-/// (relative-timing assertions flake on loaded machines; a real regression
-/// loses every attempt, noise loses at most one or two).
-double best_of(const std::vector<const patty::corpus::CorpusProgram*>& corpus,
-               bool work_sleeps, std::uint64_t work_sleep_ns, double first,
-               double bar, int attempts) {
-  double best = first;
-  for (int attempt = 1; attempt < attempts && best <= bar; ++attempt) {
-    std::string fp;  // fresh reference, still checks determinism per pair
-    std::printf("smoke retry %d (%s):\n", attempt,
-                work_sleeps ? "emulated" : "real");
-    const ModeResult retry = run_mode(corpus, work_sleeps, work_sleep_ns, &fp);
-    if (retry.speedup > best) best = retry.speedup;
-  }
-  return best;
 }
 
 }  // namespace
@@ -159,10 +169,8 @@ int main(int argc, char** argv) {
 
   const int cpu_cores = patty::rt::hardware_threads();
 
-  // The precision/recall study corpus (110 blocks, fixed seed); short mode
-  // keeps the same generator but a slice of it.
-  const int blocks =
-      programs_override > 0 ? programs_override : (short_mode ? 20 : 110);
+  // The precision/recall study corpus (110 blocks, fixed seed).
+  const int blocks = programs_override > 0 ? programs_override : 110;
   const std::vector<patty::corpus::CorpusProgram> synthetic =
       patty::corpus::synthetic_suite(blocks, 20150207);
   std::size_t loc = 0;
@@ -172,25 +180,10 @@ int main(int argc, char** argv) {
               corpus.size(), loc, short_mode ? " (short mode)" : "",
               cpu_cores);
 
-  // Emulated multicore: work(n) sleeps 60us per cost unit, so the dynamic
-  // analysis (the front-end's dominant stage) overlaps across workers the
-  // way it would across real cores. 60us makes sleep time dominate each
-  // program's few ms of real CPU (parse/detect/interpreter bookkeeping).
-  const std::uint64_t sleep_ns = 60'000;
-
-  std::string fingerprint;  // sequential emulated run seeds the reference
-  std::printf("\n== emulated multicore (work sleeps %lluus/unit) ==\n",
-              static_cast<unsigned long long>(sleep_ns / 1000));
-  const ModeResult emulated =
-      run_mode(corpus, /*work_sleeps=*/true, sleep_ns, &fingerprint);
-
-  std::printf("\n== real CPU (work burns, host-bound) ==\n");
-  const ModeResult real =
-      run_mode(corpus, /*work_sleeps=*/false, 0, &fingerprint);
+  std::printf("\n== study corpus, %d alternated pairs ==\n", kStudyPairs);
+  const ModeResult real = run_mode(corpus, kStudyPairs);
 
   // Large corpus: generated with the same config knobs at 1000 programs.
-  // Real CPU only — emulated sleeps would mask the scaling limits this
-  // section exists to show.
   ModeResult large;
   std::size_t large_loc = 0;
   if (large_programs > 0) {
@@ -200,10 +193,10 @@ int main(int argc, char** argv) {
         patty::corpus::synthetic_suite(large_config);
     const std::vector<const patty::corpus::CorpusProgram*> large_corpus =
         to_pointers(large_synthetic, &large_loc);
-    std::printf("\n== large corpus, real CPU (%zu programs, %zu LoC) ==\n",
-                large_corpus.size(), large_loc);
-    std::string large_fp;  // own reference: different corpus
-    large = run_mode(large_corpus, /*work_sleeps=*/false, 0, &large_fp);
+    std::printf("\n== large corpus (%zu programs, %zu LoC), %d alternated "
+                "pairs ==\n",
+                large_corpus.size(), large_loc, kLargePairs);
+    large = run_mode(large_corpus, kLargePairs);
   }
 
   // MHP certification coverage over the study corpus: how much of the
@@ -245,7 +238,7 @@ int main(int argc, char** argv) {
               "%zu/%zu certified-static (gate: >= 90%%)\n",
               cc.certified_static, cc.programs);
 
-  const patty::corpus::DetectionScore& s = emulated.total;
+  const patty::corpus::DetectionScore& s = real.total;
   std::printf("\ndetection: precision %.3f recall %.3f "
               "(tp=%d fp=%d fn=%d tn=%d), all runs byte-identical\n",
               s.precision(), s.recall(), s.true_positives, s.false_positives,
@@ -288,10 +281,7 @@ int main(int argc, char** argv) {
         cc.certified_explored, cc.residue_raced);
     json += buf;
   }
-  json += "  \"emulated\": {\n    \"work_sleep_us\": " +
-          std::to_string(sleep_ns / 1000) + ",\n";
-  append_mode_json(&json, emulated);
-  json += "  },\n  \"real\": {\n";
+  json += "  \"real\": {\n";
   append_mode_json(&json, real);
   json += "  }";
   if (large_programs > 0) {
@@ -305,42 +295,26 @@ int main(int argc, char** argv) {
   if (std::FILE* f = std::fopen("BENCH_analysis.json", "w")) {
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
-    std::printf("wrote BENCH_analysis.json (emulated %.2fx, real %.2fx)\n",
-                emulated.speedup, real.speedup);
+    std::printf("wrote BENCH_analysis.json (median %.2fx)\n", real.speedup);
   }
 
   if (assert_smoke) {
-    // Emulated bar: parallelism must actually overlap the sleeping dynamic
-    // analysis regardless of host cores.
-    const double best_emulated = best_of(corpus, /*work_sleeps=*/true,
-                                         sleep_ns, emulated.speedup, 1.3, 3);
-    if (best_emulated <= 1.3) {
-      std::fprintf(stderr,
-                   "perf-smoke FAILED: parallel front-end did not reach "
-                   "1.3x over sequential (emulated) in any of 3 runs "
-                   "(best %.2fx)\n",
-                   best_emulated);
-      return 1;
-    }
-    // Real-CPU bar, core-count-aware: with 2+ cores the parallel front-end
-    // must win outright; on a single core winning is physically impossible,
-    // so the bar is bounded overhead — threading must not cost more than a
+    // With one hardware thread winning is physically impossible, so the
+    // bar there is bounded overhead: threading must not cost more than a
     // third of the sequential wall.
-    const double real_bar = cpu_cores >= 2 ? 1.0 : 0.70;
-    const double best_real = best_of(corpus, /*work_sleeps=*/false, 0,
-                                     real.speedup, real_bar, 3);
-    if (best_real <= real_bar) {
+    const double bar = cpu_cores >= 2 ? kSmokeBar : 0.70;
+    if (real.speedup <= bar) {
       std::fprintf(stderr,
-                   "perf-smoke FAILED: real-CPU parallel front-end below "
-                   "the %s bar of %.2fx in all of 3 runs (best %.2fx, "
-                   "%d cores)\n",
-                   cpu_cores >= 2 ? "speedup" : "overhead", real_bar,
-                   best_real, cpu_cores);
+                   "perf-smoke FAILED: parallel front-end's median speedup "
+                   "%.2fx over %d pairs is not above the bar of %.2fx (IQR "
+                   "%.2f-%.2fx, %d cores)\n",
+                   real.speedup, real.pairs, bar, real.speedup_q25,
+                   real.speedup_q75, cpu_cores);
       return 1;
     }
-    std::printf("perf-smoke OK: emulated best %.2fx (> 1.3x), real best "
-                "%.2fx (bar %.2fx on %d cores)\n",
-                best_emulated, best_real, real_bar, cpu_cores);
+    std::printf("perf-smoke OK: median %.2fx over %d pairs (bar %.2fx on %d "
+                "cores)\n",
+                real.speedup, real.pairs, bar, cpu_cores);
   }
   return 0;
 }

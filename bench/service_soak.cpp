@@ -155,10 +155,8 @@ ShedResult run_shed(int burst) {
       req.kind = RequestKind::Detect;
       req.source =
           "class Main {\n  int main() {\n    int s = 0;\n"
-          "    for (int i = 0; i < 150; i = i + 1) { s = s + work(1); }\n"
+          "    for (int i = 0; i < 150; i = i + 1) { s = s + work(14000); }\n"
           "    return s;\n  }\n}\n";
-      req.work_sleeps = true;
-      req.work_sleep_ns = 1'000'000;
       req.no_cache = true;
       if (!flood.send(req, &error)) return false;
       ++sent;
@@ -175,8 +173,9 @@ ShedResult run_shed(int burst) {
       return reached();
     };
     // Plug the single worker with the first request, then fill the queue
-    // behind it: each request's dynamic analysis sleeps ~150 ms (emulated
-    // multicore), so the queue stays full that long.
+    // behind it: each request's dynamic analysis burns ~150 ms of one core
+    // (150 calls of work(14000), about 1 ms each), so the queue stays full
+    // that long.
     const patty::observe::Counter& accepted =
         patty::observe::Registry::global().counter(
             "service.requests.accepted");

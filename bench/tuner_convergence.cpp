@@ -8,10 +8,11 @@
 //
 // The knobs use the detector's canonical naming (stageX.replication,
 // fuseXY, sequential) so the model-guided tuner recognizes the space.
-// Random, Nelder-Mead and tabu share one evaluation cache
-// (TunerOptions::shared_cache): a point any of them measured costs the
-// others nothing. Linear and model-guided run isolated so their evaluation
-// counts are honest.
+// Every run has its own memo, so no tuner reads another's measurements.
+// Each tuner runs kTrials times (the tuners take turns, in a rotating
+// order); the table reports the median and the interquartile range of the
+// best time and of the evaluation count, since one run's wall-clock best
+// swings with the host's load.
 //
 // Results go to stdout and BENCH_tuning.json. Flags:
 //   --assert-smoke  exit nonzero unless the model-guided tuner (top-3
@@ -34,6 +35,7 @@
 #include "observe/explain.hpp"
 #include "observe/trace.hpp"
 #include "runtime/pipeline.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "tuning/model.hpp"
 #include "tuning/tuner.hpp"
@@ -116,6 +118,24 @@ void append_json(std::string* json, const char* key, double v) {
   *json += buf;
 }
 
+/// "median (q25-q75)" of a sample.
+std::string median_iqr(const std::vector<double>& xs, int precision) {
+  const patty::Quantiles q(xs);
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "%.*f (%.*f-%.*f)", precision, q.q(0.5),
+                precision, q.q(0.25), precision, q.q(0.75));
+  return buf;
+}
+
+/// One tuner's runs across the trials.
+struct TunerRows {
+  std::string name;
+  std::vector<double> best_seconds;
+  std::vector<double> evaluations;
+  std::string best_rep_b;  // each run's best stageB.replication
+  patty::tuning::TuningRun last;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -128,49 +148,56 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--assert-smoke")) assert_smoke = true;
 
   constexpr std::size_t kBudget = 24;
-  const double untuned = measure_pipeline(make_space());
+  constexpr int kTrials = 5;
 
-  // Search-based field: random/NM/tabu pool their measurements through one
-  // shared cache; linear stays isolated as the honest baseline.
-  auto shared = std::make_shared<tu::EvalCache>();
-  struct Entry {
-    std::unique_ptr<tu::Tuner> tuner;
-    bool share = false;
-  };
-  std::vector<Entry> entries;
-  entries.push_back({tu::make_linear_tuner(), false});
-  entries.push_back({tu::make_random_tuner(7), true});
-  entries.push_back({tu::make_nelder_mead_tuner(7), true});
-  entries.push_back({tu::make_tabu_tuner(7), true});
-
-  Table table({"tuner", "evaluations", "cache hits", "best time (s)",
-               "speedup vs untuned", "best repB"});
-  tu::TuningRun linear_run;
-  for (Entry& e : entries) {
-    if (e.share) {
-      tu::TunerOptions o;
-      o.shared_cache = shared;
-      e.tuner->set_options(o);
+  const char* const names[] = {"linear", "random", "nelder-mead", "tabu",
+                               "model-guided"};
+  std::vector<TunerRows> rows(std::size(names));
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i].name = names[i];
+  const auto run_tuner = [&](std::size_t i) {
+    switch (i) {
+      case 0: return tu::make_linear_tuner()->tune(make_space(),
+                                                   measure_pipeline, kBudget);
+      case 1: return tu::make_random_tuner(7)->tune(make_space(),
+                                                    measure_pipeline, kBudget);
+      case 2: return tu::make_nelder_mead_tuner(7)->tune(
+                  make_space(), measure_pipeline, kBudget);
+      case 3: return tu::make_tabu_tuner(7)->tune(make_space(),
+                                                  measure_pipeline, kBudget);
+      default: return run_model_guided(5, kBudget);
     }
-    const tu::TuningRun run =
-        e.tuner->tune(make_space(), measure_pipeline, kBudget);
-    if (e.tuner->name() == "linear") linear_run = run;
-    table.add_row({e.tuner->name(), std::to_string(run.evaluations),
-                   std::to_string(run.cache_hits), fmt(run.best_score, 4),
-                   fmt(untuned / run.best_score),
-                   std::to_string(run.best.get_or("stageB.replication", 1))});
+  };
+  std::vector<double> untuned;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    untuned.push_back(measure_pipeline(make_space()));
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const std::size_t i = (k + static_cast<std::size_t>(trial)) % rows.size();
+      TunerRows& r = rows[i];
+      r.last = run_tuner(i);
+      r.best_seconds.push_back(r.last.best_score);
+      r.evaluations.push_back(static_cast<double>(r.last.evaluations));
+      if (!r.best_rep_b.empty()) r.best_rep_b += ' ';
+      r.best_rep_b +=
+          std::to_string(r.last.best.get_or("stageB.replication", 1));
+    }
   }
-  // Model-guided: default top-K, isolated cache.
-  const tu::TuningRun model_run = run_model_guided(5, kBudget);
-  table.add_row(
-      {"model-guided", std::to_string(model_run.evaluations),
-       std::to_string(model_run.cache_hits), fmt(model_run.best_score, 4),
-       fmt(untuned / model_run.best_score),
-       std::to_string(model_run.best.get_or("stageB.replication", 1))});
+  const double untuned_median = patty::Quantiles(untuned).q(0.5);
+
+  Table table({"tuner", "evaluations", "best time (s)", "speedup vs untuned",
+               "best repB per run"});
+  for (const TunerRows& r : rows)
+    table.add_row({r.name, median_iqr(r.evaluations, 0),
+                   median_iqr(r.best_seconds, 4),
+                   fmt(untuned_median /
+                       patty::Quantiles(r.best_seconds).q(0.5)),
+                   r.best_rep_b});
+  const tu::TuningRun& model_run = rows.back().last;
 
   std::printf("Auto-tuning cycle (fig. 4c): imbalanced pipeline, budget %zu "
-              "evaluations, untuned %.4f s\n%s\n",
-              kBudget, untuned, table.str().c_str());
+              "evaluations, %d trials, untuned %s s; median (IQR) per "
+              "tuner\n%s\n",
+              kBudget, kTrials, median_iqr(untuned, 4).c_str(),
+              table.str().c_str());
   std::printf("Expected shape: every tuner improves on the untuned default; "
               "the model-guided tuner gets there with a fraction of the "
               "measurements.\n\n");
@@ -289,16 +316,29 @@ int main(int argc, char** argv) {
   }
 
   // BENCH_tuning.json: the numbers the perf-smoke gate and cross-PR
-  // comparisons consume.
-  std::string json = "{\n  \"budget\": " + std::to_string(kBudget) + ",\n  ";
-  append_json(&json, "untuned_seconds", untuned);
-  json += ",\n  \"linear\": {\"evaluations\": " +
-          std::to_string(linear_run.evaluations) + ", ";
-  append_json(&json, "best_seconds", linear_run.best_score);
-  json += "},\n  \"model_guided\": {\"evaluations\": " +
-          std::to_string(model_run.evaluations) + ", ";
-  append_json(&json, "best_seconds", model_run.best_score);
-  json += ", \"probe\": " + std::to_string(model_run.model.probe_evaluations) +
+  // comparisons consume. Each tuner's row holds the median and quartiles
+  // of its trials; the model-guided fit details are from its last trial.
+  std::string json = "{\n  \"budget\": " + std::to_string(kBudget) +
+                     ",\n  \"trials\": " + std::to_string(kTrials) + ",\n  ";
+  append_json(&json, "untuned_seconds", untuned_median);
+  for (const TunerRows& r : rows) {
+    const patty::Quantiles evals(r.evaluations), best(r.best_seconds);
+    json += ",\n  \"" + r.name + "\": {";
+    append_json(&json, "evaluations", evals.q(0.5));
+    json += ", ";
+    append_json(&json, "evaluations_q25", evals.q(0.25));
+    json += ", ";
+    append_json(&json, "evaluations_q75", evals.q(0.75));
+    json += ", ";
+    append_json(&json, "best_seconds", best.q(0.5));
+    json += ", ";
+    append_json(&json, "best_seconds_q25", best.q(0.25));
+    json += ", ";
+    append_json(&json, "best_seconds_q75", best.q(0.75));
+    json += "}";
+  }
+  json += ",\n  \"model_guided_fit\": {\"probe\": " +
+          std::to_string(model_run.model.probe_evaluations) +
           ", \"validations\": " +
           std::to_string(model_run.model.validation_evaluations) + ", ";
   append_json(&json, "fit_error", model_run.model.fit_error);

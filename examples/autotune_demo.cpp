@@ -40,17 +40,11 @@ int main() {
               static_cast<unsigned long long>(config.search_space_size()),
               config.serialize().c_str());
 
-  // Emulated-multicore execution so stage overlap is measurable on any host
-  // (see DESIGN.md substitutions).
-  analysis::InterpreterOptions exec_options;
-  exec_options.work_sleeps = true;
-  exec_options.work_sleep_ns = 4'000;
-
   auto measure = [&](const rt::TuningConfig& candidate) {
     transform::ParallelPlanExecutor executor(*program, detection.candidates,
                                              &candidate);
     const auto start = std::chrono::steady_clock::now();
-    executor.run_main(exec_options);
+    executor.run_main();
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();

@@ -1,9 +1,7 @@
 #include "analysis/interpreter.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "runtime/cancellation.hpp"
 #include "support/diagnostics.hpp"
@@ -14,33 +12,27 @@ using lang::Builtin;
 using lang::ExprKind;
 using lang::StmtKind;
 
-std::uint64_t burn_work(std::uint64_t iterations) {
-  // Deterministic integer mixing; `volatile` keeps the optimizer from
-  // collapsing the loop, so one unit is a stable amount of real CPU work.
-  volatile std::uint64_t acc = 0x9e3779b97f4a7c15ULL;
-  for (std::uint64_t i = 0; i < iterations; ++i) {
-    acc = (acc ^ (acc >> 13)) * 0xff51afd7ed558ccdULL + i;
-  }
-  return acc;
-}
-
 namespace {
 
-/// Emulated work: sleeps `ns` in slices of at most 1 ms against one absolute
-/// end time, checking the ambient stop token between slices, so a deadline
-/// interrupts a long sleep. A sleep of at most 1 ms stays one call.
-void sleep_work(std::uint64_t ns) {
-  using Clock = std::chrono::steady_clock;
-  constexpr std::chrono::nanoseconds kSlice = std::chrono::milliseconds(1);
-  const std::chrono::nanoseconds total(ns);
-  if (total <= kSlice) {
-    std::this_thread::sleep_for(total);
-    return;
-  }
-  const rt::StopToken stop = rt::current_stop_token();
-  const Clock::time_point end = Clock::now() + total;
-  for (Clock::time_point now = Clock::now(); now < end; now = Clock::now()) {
-    std::this_thread::sleep_until(std::min(end, now + kSlice));
+/// Cost units one uninterrupted burn covers: about 0.1 ms of CPU.
+constexpr std::uint64_t kWorkSliceUnits = 1024;
+
+/// The CPU burner behind `work(n)`: 60 iterations of a deterministic
+/// integer mix per cost unit (`volatile` keeps the optimizer from
+/// collapsing the loop, so one unit is a stable amount of real CPU work).
+/// A call longer than one slice checks the ambient stop token between
+/// slices, so a deadline cuts it short; a call that fits one slice does no
+/// extra check.
+void burn_work(std::uint64_t units) {
+  const rt::StopToken stop =
+      units > kWorkSliceUnits ? rt::current_stop_token() : rt::StopToken();
+  for (;;) {
+    const std::uint64_t slice = std::min(units, kWorkSliceUnits);
+    volatile std::uint64_t acc = 0x9e3779b97f4a7c15ULL;
+    for (std::uint64_t i = 0; i < slice * 60; ++i)
+      acc = (acc ^ (acc >> 13)) * 0xff51afd7ed558ccdULL + i;
+    units -= slice;
+    if (units == 0) return;
     if (stop.stop_requested()) throw rt::OperationCancelled("work()");
   }
 }
@@ -553,11 +545,7 @@ Value Interpreter::eval_builtin(const lang::Call& c, Frame& frame) {
     case Builtin::Work: {
       const std::int64_t n = arg(0).as_int();
       if (n < 0) error(c.range, "work() with negative cost");
-      if (options_.work_sleeps) {
-        sleep_work(static_cast<std::uint64_t>(n) * options_.work_sleep_ns);
-      } else {
-        burn_work(static_cast<std::uint64_t>(n) * options_.work_scale);
-      }
+      burn_work(static_cast<std::uint64_t>(n));
       cost_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
       if (tracer_) tracer_->on_work(static_cast<std::uint64_t>(n));
       // work() is the natural yield point of a long-running program: honor

@@ -51,16 +51,6 @@ struct InterpreterOptions {
   /// Abort with RuntimeError after this many statement executions
   /// (guards against non-terminating inputs during dynamic analysis).
   std::uint64_t max_steps = 200'000'000;
-  /// Scale factor: work(n) spins n * work_scale iterations of a
-  /// deterministic integer mix, so cost units translate to real CPU time.
-  std::uint64_t work_scale = 60;
-  /// Emulated-multicore mode: work(n) waits n * work_sleep_ns nanoseconds
-  /// instead of burning the CPU. Timed waits overlap across threads the
-  /// way real compute overlaps on real cores, so parallel-speedup shapes
-  /// can be reproduced on hosts with fewer cores than the paper's testbed
-  /// (see DESIGN.md substitutions). Semantics are unchanged.
-  bool work_sleeps = false;
-  std::uint64_t work_sleep_ns = 2'000;
 };
 
 class Interpreter;
@@ -163,9 +153,5 @@ class Interpreter {
   mutable std::mutex output_mutex_;
   std::string output_;
 };
-
-/// The deterministic CPU burner behind the `work(n)` builtin; exposed so
-/// benchmarks can calibrate it.
-std::uint64_t burn_work(std::uint64_t iterations);
 
 }  // namespace patty::analysis

@@ -47,7 +47,7 @@ std::unique_ptr<SemanticModel> SemanticModel::build(
 
   if (options.run_dynamic) {
     model->profiler_ = std::make_unique<Profiler>(program);
-    Interpreter interp(program, model->profiler_.get(), options.interp);
+    Interpreter interp(program, model->profiler_.get());
     interp.run_main();  // throws RuntimeError on failure
     // Fold observed dependences now, while the model is still exclusively
     // ours: later (possibly concurrent) detector queries then take the

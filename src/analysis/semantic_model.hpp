@@ -33,7 +33,6 @@ struct SemanticModelOptions {
   /// CFGs are prebuilt via parallel_for (self-hosted front-end). The
   /// resulting model is identical to a sequential build.
   bool parallel = false;
-  InterpreterOptions interp;
 };
 
 class SemanticModel {

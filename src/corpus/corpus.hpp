@@ -130,11 +130,6 @@ struct FrontendConfig {
   bool parallel = false;
   /// Detection mode (the paper's optimistic default vs static baseline).
   bool optimistic = true;
-  /// Forwarded to the interpreter for the dynamic-analysis run: emulated
-  /// multicore (work(n) sleeps instead of burning CPU) lets the analysis
-  /// benches reproduce parallel speedup shapes on few-core hosts.
-  bool work_sleeps = false;
-  std::uint64_t work_sleep_ns = 2'000;
   /// Optional per-program tap, invoked at the end of the program's task
   /// with the full front-end artifacts (AST, semantic model, detection
   /// result) before they are torn down. Lets downstream passes — the MHP

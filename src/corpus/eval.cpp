@@ -53,8 +53,6 @@ void stage_model(ProgramTask& item, const FrontendConfig& config) {
   if (stop_requested(item)) return;
   analysis::SemanticModelOptions options;
   options.parallel = config.parallel;
-  options.interp.work_sleeps = config.work_sleeps;
-  options.interp.work_sleep_ns = config.work_sleep_ns;
   try {
     item.model = analysis::SemanticModel::build(*item.parsed, options);
   } catch (const analysis::RuntimeError& e) {

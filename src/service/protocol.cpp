@@ -158,10 +158,6 @@ json::Value Request::to_json() const {
   if (!optimistic) v.set("optimistic", false);
   if (parallel) v.set("parallel", true);
   if (no_cache) v.set("no_cache", true);
-  if (work_sleeps) {
-    v.set("work_sleeps", true);
-    v.set("work_sleep_ns", work_sleep_ns);
-  }
   if (kind == RequestKind::Tune) v.set("max_evals", max_evals);
   return v;
 }
@@ -190,10 +186,8 @@ std::optional<Request> Request::from_json(const json::Value& v,
   req.optimistic = v.at("optimistic").as_bool(true);
   req.parallel = v.at("parallel").as_bool(false);
   req.no_cache = v.at("no_cache").as_bool(false);
-  req.work_sleeps = v.at("work_sleeps").as_bool(false);
-  req.work_sleep_ns = v.at("work_sleep_ns").as_int(2'000);
   req.max_evals = v.at("max_evals").as_int(12);
-  if (req.deadline_ms < 0 || req.work_sleep_ns < 0 || req.max_evals < 1) {
+  if (req.deadline_ms < 0 || req.max_evals < 1) {
     if (error) *error = "negative budget field";
     return std::nullopt;
   }

@@ -61,8 +61,6 @@ struct Request {
   bool optimistic = true;          // detector mode
   bool parallel = false;           // parallel front-end inside the request
   bool no_cache = false;           // bypass the semantic-model cache
-  bool work_sleeps = false;        // emulated-multicore interpreter mode
-  std::int64_t work_sleep_ns = 2'000;
   std::int64_t max_evals = 12;     // tune: measured-evaluation budget
 
   [[nodiscard]] json::Value to_json() const;

@@ -571,8 +571,6 @@ std::shared_ptr<const ModelEntry> Server::acquire_model(const Request& req,
   corpus::FrontendConfig config;
   config.parallel = req.parallel && !degrade;
   config.optimistic = req.optimistic;
-  config.work_sleeps = req.work_sleeps;
-  config.work_sleep_ns = static_cast<std::uint64_t>(req.work_sleep_ns);
   auto entry = std::make_shared<ModelEntry>();
   bool adopted = false;
   config.adopt = [&entry, &adopted](corpus::ProgramArtifacts&& artifacts) {
@@ -673,14 +671,11 @@ json::Value Server::do_tune(const Request& req, const ModelEntry& entry) {
     result.set("note", "candidates expose no tuning parameters");
     return result;
   }
-  analysis::InterpreterOptions exec;
-  exec.work_sleeps = req.work_sleeps;
-  exec.work_sleep_ns = static_cast<std::uint64_t>(req.work_sleep_ns);
   auto measure = [&](const rt::TuningConfig& candidate) {
     transform::ParallelPlanExecutor executor(*entry.artifacts.parsed,
                                              candidates, &candidate);
     const auto start = std::chrono::steady_clock::now();
-    executor.run_main(exec);
+    executor.run_main();
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();

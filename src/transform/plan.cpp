@@ -436,8 +436,8 @@ ParallelPlanExecutor::ParallelPlanExecutor(
 
 ParallelPlanExecutor::~ParallelPlanExecutor() = default;
 
-Value ParallelPlanExecutor::run_main(analysis::InterpreterOptions options) {
-  impl_->interp = std::make_unique<Interpreter>(impl_->program, nullptr, options);
+Value ParallelPlanExecutor::run_main() {
+  impl_->interp = std::make_unique<Interpreter>(impl_->program);
   impl_->interp->set_interceptor(this);
   return impl_->interp->run_main();
 }

@@ -62,7 +62,7 @@ class ParallelPlanExecutor : public analysis::StmtInterceptor {
   ~ParallelPlanExecutor() override;
 
   /// Execute main() with all plans armed. Returns main's result.
-  analysis::Value run_main(analysis::InterpreterOptions options = {});
+  analysis::Value run_main();
 
   /// Program output of the last run_main().
   [[nodiscard]] std::string output() const;

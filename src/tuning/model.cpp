@@ -1024,8 +1024,7 @@ std::string explain_model(const TuningRun& run) {
          " (best), " + num(m.predicted_speedup) + "x predicted speedup\n";
   out += "  evaluations: " + std::to_string(run.evaluations) + " (" +
          std::to_string(m.probe_evaluations) + " probe + " +
-         std::to_string(m.validation_evaluations) + " validation), " +
-         std::to_string(run.cache_hits) + " cache hits\n";
+         std::to_string(m.validation_evaluations) + " validation)\n";
   if (!m.validations.empty()) {
     out += "  validation (predicted vs measured):\n";
     for (std::size_t i = 0; i < m.validations.size(); ++i) {

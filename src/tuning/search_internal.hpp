@@ -11,7 +11,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -71,18 +70,16 @@ struct Space {
   }
 };
 
-/// Shared evaluation bookkeeping: caching, budget, history, and candidate
-/// hardening — a measurement that throws or outruns the deadline becomes a
-/// failed evaluation (score +inf) instead of aborting the search. A stop of
-/// the caller's region (the ambient token at construction) ends the search:
-/// the running measurement is cancelled through its chained stop source,
-/// and no further one starts.
+/// Shared evaluation bookkeeping: the run's memo, budget, history, and
+/// candidate hardening — a measurement that throws or outruns the deadline
+/// becomes a failed evaluation (score +inf) instead of aborting the search.
+/// A stop of the caller's region (the ambient token at construction) ends
+/// the search: the running measurement is cancelled through its chained
+/// stop source, and no further one starts.
 ///
-/// The dedup memo is keyed by the name-sorted VALUE vector (not the index
-/// vector), so it can be shared across tuner instances and even across
-/// differently-discretized views of the same space: pass the same
-/// TunerOptions::shared_cache to every tuner and any already-visited point
-/// is answered from the memo without measuring or spending budget.
+/// The memo belongs to one run: a point it revisits is answered without
+/// measuring or spending budget, and no other run's measurement can
+/// become its best.
 struct Evaluator {
   const Space& space;
   rt::TuningConfig config;
@@ -90,15 +87,10 @@ struct Evaluator {
   std::size_t budget;
   TunerOptions options;
   TuningRun run;
-  EvalCache local_cache;
-  EvalCache* cache;
-  /// Distinct points this run has requested (cached or measured) — the
-  /// termination signal for exhaustive-coverage tuners (random), which must
-  /// not be confused by shared-cache entries from other spaces.
-  std::set<std::vector<std::size_t>> seen;
-  /// Keys this run measured itself (to tell shared-cache hits apart from
-  /// plain revisits when counting run.cache_hits).
-  std::set<std::vector<std::int64_t>> own;
+  /// Measured scores keyed by the name-sorted value vector; its size is
+  /// the distinct points measured, exhaustive-coverage tuners' (random)
+  /// termination signal.
+  std::map<std::vector<std::int64_t>, double> memo;
   /// The caller's region: every candidate's stop source chains to it.
   rt::StopToken enclosing = rt::current_stop_token();
 
@@ -108,40 +100,15 @@ struct Evaluator {
         config(std::move(c)),
         measure(m),
         budget(b),
-        options(std::move(o)),
-        cache(options.shared_cache ? options.shared_cache.get()
-                                   : &local_cache) {}
+        options(std::move(o)) {}
 
   [[nodiscard]] bool exhausted() const {
     return run.evaluations >= budget || enclosing.stop_requested();
   }
 
-  [[nodiscard]] bool known(const std::vector<std::size_t>& idx) const {
-    return cache->scores.count(space.values(idx)) != 0;
-  }
-
   double eval(const std::vector<std::size_t>& idx) {
-    seen.insert(idx);
     const std::vector<std::int64_t> key = space.values(idx);
-    auto it = cache->scores.find(key);
-    if (it != cache->scores.end()) {
-      if (options.shared_cache && !own.count(key)) {
-        ++run.cache_hits;
-        // A shared-cache point this run never measured can still be its
-        // best answer (the whole point of the memo: duplicates are free).
-        if (run.history.empty() && run.evaluations == 0 &&
-            run.cache_hits == 1) {
-          run.best_score = it->second;
-          space.apply(idx, &config);
-          run.best = config;
-        } else if (it->second < run.best_score) {
-          run.best_score = it->second;
-          space.apply(idx, &config);
-          run.best = config;
-        }
-      }
-      return it->second;
-    }
+    if (auto it = memo.find(key); it != memo.end()) return it->second;
     if (enclosing.stop_requested())
       return std::numeric_limits<double>::infinity();
     space.apply(idx, &config);
@@ -219,13 +186,11 @@ struct Evaluator {
       observe::Registry::global().histogram("tuner.score").record(score);
     }
     ++run.evaluations;
-    cache->scores[key] = score;
-    own.insert(key);
+    memo[key] = score;
     run.history.push_back({key, score, failed, failure});
     // A failed candidate (score +inf) can only become "best" as the very
     // first entry, and any finite score later replaces it.
-    if ((run.history.size() == 1 && run.cache_hits == 0) ||
-        score < run.best_score) {
+    if (run.history.size() == 1 || score < run.best_score) {
       run.best_score = score;
       run.best = config;
     }

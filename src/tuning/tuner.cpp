@@ -42,12 +42,12 @@ class RandomTuner final : public Tuner {
     // The whole space may be smaller than the budget: stop once every
     // point has been visited (duplicates cost no budget).
     const std::uint64_t total = space.size();
-    while (!ev.exhausted() && ev.seen.size() < total) {
+    while (!ev.exhausted() && ev.memo.size() < total) {
       std::vector<std::size_t> idx(space.dims());
       for (std::size_t d = 0; d < space.dims(); ++d)
         idx[d] = static_cast<std::size_t>(
             rng.next_below(space.domains[d].size()));
-      if (ev.seen.count(idx)) continue;  // free; try another point
+      if (ev.memo.count(space.values(idx))) continue;  // try another point
       ev.eval(idx);
     }
     return std::move(ev.run);
@@ -158,7 +158,7 @@ class NelderMeadTuner final : public Tuner {
         xr[d] = static_cast<double>(rng.next_below(space.domains[d].size()));
       const std::size_t before = ev.run.evaluations;
       descend(std::move(xr));
-      if (ev.run.evaluations == before) break;  // space exhausted via cache
+      if (ev.run.evaluations == before) break;  // space exhausted via memo
     }
     return std::move(ev.run);
   }

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,15 +30,6 @@ struct Evaluation {
   /// +infinity so it never becomes the best; the search continues.
   bool failed = false;
   std::string failure;  // exception message or "deadline exceeded"
-};
-
-/// Measured scores keyed by the name-sorted value vector. Every tuner
-/// dedups its own evaluations through one of these; handing the SAME cache
-/// to several tuners (TunerOptions::shared_cache) makes cross-tuner
-/// comparisons reuse each other's measurements, so an already-visited point
-/// costs neither budget nor wall-clock in any later run.
-struct EvalCache {
-  std::map<std::vector<std::int64_t>, double> scores;
 };
 
 /// What the model-guided tuner fit and how well it predicted (empty /
@@ -66,9 +56,6 @@ struct TuningRun {
   double best_score = 0.0;
   std::size_t evaluations = 0;
   std::size_t failed_evaluations = 0;
-  /// Evaluations answered from a pre-populated shared cache (never counted
-  /// in `evaluations` and absent from `history`).
-  std::size_t cache_hits = 0;
   std::vector<Evaluation> history;  // in evaluation order
   ModelFitInfo model;               // model-guided tuner only
 };
@@ -79,10 +66,6 @@ struct TunerOptions {
   /// cancelled (its region's StopToken fires, cooperative) and scored as a
   /// failed evaluation with reason "deadline exceeded".
   std::int64_t candidate_deadline_ms = 0;
-  /// Optional cross-run memo: measured points land here and pre-existing
-  /// entries are served without measuring (or spending budget). Null keeps
-  /// the classic per-run private cache.
-  std::shared_ptr<EvalCache> shared_cache;
 };
 
 class Tuner {

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "analysis/interpreter.hpp"
 #include "lang/sema.hpp"
+#include "runtime/cancellation.hpp"
 
 namespace patty::analysis {
 namespace {
@@ -260,6 +263,23 @@ TEST(InterpreterTest, ErrorStepLimitOnInfiniteLoop) {
   opts.max_steps = 10'000;
   Interpreter interp(*program, nullptr, opts);
   EXPECT_THROW(interp.run_main(), RuntimeError);
+}
+
+TEST(InterpreterTest, DeadlineCutsOneLongWorkCallShort) {
+  // work(10^12) is about 20 hours of CPU: a 50 ms deadline must stop it
+  // from inside the call, not after it.
+  DiagnosticSink diags;
+  auto program = lang::parse_and_check(
+      "class Main { int main() { return work(1000000000000); } }", diags);
+  ASSERT_TRUE(program) << diags.to_string();
+  Interpreter interp(*program);
+  rt::StopSource stop;
+  rt::ScopedDeadline deadline(stop, std::chrono::milliseconds(50));
+  rt::StopScope ambient(stop.token());
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(interp.run_main(), rt::OperationCancelled);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_TRUE(deadline.expired());
 }
 
 TEST(InterpreterTest, ErrorNoMain) {

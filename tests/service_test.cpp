@@ -16,7 +16,7 @@
 //     bound holds under concurrency;
 //   * deadlines ride one shared DeadlineScheduler thread — 100 concurrent
 //     deadlined requests must not cost 100 timer threads — and interrupt
-//     long emulated work and a tune search mid-measurement;
+//     one long work() call and a tune search mid-measurement;
 //   * the fault-injection soak gate: ≥1000 mixed requests with failpoints
 //     armed across daemon and runtime paths, every request answered, zero
 //     crashes or hangs, service counters balanced at the end.
@@ -97,14 +97,18 @@ class Main {
 }
 )";
 
-/// `iters` work(1) calls; with work_sleeps and work_sleep_ns = 1ms the
-/// dynamic-analysis run takes ~`iters` milliseconds and yields at every
-/// work() call (the service's cooperative cancellation point).
+/// Cost units of real CPU work that take about 1 ms (about 72 ns each).
+constexpr int kWorkPerMs = 14'000;
+
+/// `iters` calls of work(kWorkPerMs): the dynamic-analysis run burns about
+/// `iters` milliseconds of one core and checks the ambient stop token (the
+/// service's cooperative cancellation point) at every call and inside it.
 std::string slow_source(int iters, int salt = 0) {
   std::ostringstream out;
   out << "class Main {\n  int main() {\n    int s = " << salt << ";\n"
       << "    for (int i = 0; i < " << iters << "; i = i + 1) {\n"
-      << "      s = s + work(1);\n    }\n    return s;\n  }\n}\n";
+      << "      s = s + work(" << kWorkPerMs << ");\n    }\n"
+      << "    return s;\n  }\n}\n";
   return out.str();
 }
 
@@ -113,8 +117,6 @@ Request slow_request(std::int64_t id, int iters, int salt = 0) {
   req.id = id;
   req.kind = RequestKind::Detect;
   req.source = slow_source(iters, salt);
-  req.work_sleeps = true;
-  req.work_sleep_ns = 1'000'000;  // 1 ms per work(1)
   req.no_cache = true;
   return req;
 }
@@ -297,8 +299,6 @@ TEST(ServiceProtocolTest, RequestRoundTrip) {
   req.optimistic = false;
   req.parallel = true;
   req.no_cache = true;
-  req.work_sleeps = true;
-  req.work_sleep_ns = 777;
   req.max_evals = 3;
   std::string error;
   const auto back = Request::from_json(req.to_json(), &error);
@@ -310,8 +310,6 @@ TEST(ServiceProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(back->optimistic, req.optimistic);
   EXPECT_EQ(back->parallel, req.parallel);
   EXPECT_EQ(back->no_cache, req.no_cache);
-  EXPECT_EQ(back->work_sleeps, req.work_sleeps);
-  EXPECT_EQ(back->work_sleep_ns, req.work_sleep_ns);
   EXPECT_EQ(back->max_evals, req.max_evals);
 }
 
@@ -675,6 +673,51 @@ TEST_F(ServiceTest, DetectFingerprintMatchesDirectFrontend) {
             direct.programs[0].fingerprint);
 }
 
+TEST_F(ServiceTest, OldClientSleepFieldsAreIgnored) {
+  // A client written for the removed emulated-multicore mode still sends
+  // its two keys (a flag and a sleep per cost unit). The decoder ignores
+  // unknown keys, so the request runs on real CPU: 2000 work(1) calls take
+  // well under a millisecond here, where 1 ms per unit would have slept
+  // for 2 s.
+  start();
+  Client client = connect();
+  Request req;
+  req.id = 1;
+  req.kind = RequestKind::Detect;
+  req.source = R"(
+class Main {
+  int main() {
+    int s = 0;
+    for (int i = 0; i < 2000; i = i + 1) {
+      s = s + work(1);
+    }
+    return s;
+  }
+}
+)";
+  req.no_cache = true;
+  const Response plain = must_call(client, req);
+  ASSERT_TRUE(plain.ok) << plain.error_message;
+
+  json::Value old = req.to_json();
+  old.set("id", std::int64_t{2});
+  const std::string key = std::string("work_") + "sleep";
+  old.set(key + "s", true);
+  old.set(key + "_ns", std::int64_t{1'000'000});
+  std::string error;
+  const auto start_time = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.send_raw(old.dump(), &error)) << error;
+  const auto resp = client.recv(&error);
+  const auto elapsed = std::chrono::steady_clock::now() - start_time;
+  ASSERT_TRUE(resp.has_value()) << error;
+  ASSERT_TRUE(resp->ok) << resp->error_message;
+  EXPECT_EQ(resp->id, 2);
+  EXPECT_FALSE(resp->cached);
+  EXPECT_EQ(resp->result.at("fingerprint").as_string(),
+            plain.result.at("fingerprint").as_string());
+  EXPECT_LT(elapsed, 1s) << "the request slept through its work() calls";
+}
+
 TEST_F(ServiceTest, CacheHitIsCounterVerified) {
   start();
   Client client = connect();
@@ -898,31 +941,41 @@ TEST_F(ServiceTest, DeadlineExpiryIsAStructuredError) {
   EXPECT_TRUE(must_call(client, good).ok);
 }
 
-TEST_F(ServiceTest, DeadlineInterruptsLongEmulatedWork) {
-  // One work(1) at 5 s per unit: the deadline must cut the sleep short.
+TEST_F(ServiceTest, DeadlineInterruptsLongWork) {
+  // One work() call worth about 20 hours of CPU: the deadline must cut it
+  // short from inside the call, and the worker must be free again.
   start();
   Client client = connect();
-  Request req = slow_request(1, /*iters=*/1);
-  req.work_sleep_ns = 5'000'000'000;
+  Request req;
+  req.id = 1;
+  req.kind = RequestKind::Detect;
+  req.source = "class Main { int main() { return work(1000000000000); } }";
+  req.no_cache = true;
   req.deadline_ms = 50;
   const auto start_time = std::chrono::steady_clock::now();
   const Response resp = must_call(client, req);
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.error_code, ErrorCode::Deadline) << resp.error_message;
   EXPECT_LT(std::chrono::steady_clock::now() - start_time, 2s);
+  Request next;
+  next.id = 2;
+  next.kind = RequestKind::Detect;
+  next.source = kSumSource;
+  const Response answered = must_call(client, next);
+  EXPECT_TRUE(answered.ok) << answered.error_message;
 }
 
 TEST_F(ServiceTest, TuneDeadlineCancelsSearchMidMeasurement) {
   // The model is cached first, so the deadline lands in the tuner's first
-  // measurement; each measurement alone outlasts the deadline.
+  // measurement; each measurement alone (about 200 ms) outlasts the
+  // deadline.
   start();
   Client client = connect();
-  Request detect = slow_request(1, /*iters=*/1000);
-  detect.work_sleep_ns = 1'000;
+  Request detect = slow_request(1, /*iters=*/200);
   detect.no_cache = false;
   ASSERT_TRUE(must_call(client, detect).ok);
 
-  Request tune = slow_request(2, /*iters=*/1000);
+  Request tune = slow_request(2, /*iters=*/200);
   tune.kind = RequestKind::Tune;
   tune.no_cache = false;
   tune.max_evals = 4;

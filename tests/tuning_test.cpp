@@ -177,31 +177,6 @@ TEST(TunerTest, HistoryRecordsNameSortedValues) {
   for (const Evaluation& e : run.history) ASSERT_EQ(e.values.size(), 2u);
 }
 
-TEST(TunerTest, SharedCacheSkipsRepeatMeasurements) {
-  // Two tuners sharing one EvalCache: the second run of the deterministic
-  // linear search revisits exactly the first run's points, so it must not
-  // call the measure function at all.
-  auto shared = std::make_shared<EvalCache>();
-  int calls = 0;
-  auto counting = [&calls](const rt::TuningConfig& c) {
-    ++calls;
-    return bowl(c);
-  };
-  TunerOptions options;
-  options.shared_cache = shared;
-  auto t1 = make_linear_tuner();
-  t1->set_options(options);
-  TuningRun r1 = t1->tune(make_space(8, 8), counting, 200);
-  const int after_first = calls;
-  EXPECT_GT(after_first, 0);
-  auto t2 = make_linear_tuner();
-  t2->set_options(options);
-  TuningRun r2 = t2->tune(make_space(8, 8), counting, 200);
-  EXPECT_EQ(calls, after_first);
-  EXPECT_GT(r2.cache_hits, 0u);
-  EXPECT_EQ(r2.best_score, r1.best_score);
-}
-
 // ---- Cost-model layer ------------------------------------------------------
 
 /// The tuner-convergence bench's canonical pipeline knob space: stage
