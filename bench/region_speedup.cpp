@@ -13,11 +13,9 @@
 // reported as the median and quartiles of 8 pairs. The region's own speedup follows from its runtime share s and
 // the whole-program median m as s / (1/m - (1 - s)) (Amdahl), comparable to
 // the prediction; the profiled share is only an estimate, so it is shown
-// as "implied". desktop_search's loop is not forced parallel: it is the open
-// race of ROADMAP item 1 (a list append inside a callee), and run in
-// parallel it corrupts the heap. The table ends with the gate's two checks:
-// a region it runs sequentially that measured above 1.3x (regret), and a
-// region it runs in parallel that measured below 1.0x.
+// as "implied". The table ends with the gate's two checks: a region it runs
+// sequentially that measured above 1.3x (regret), and a region it runs in
+// parallel that measured below 1.0x.
 
 #include <chrono>
 #include <cstdio>
@@ -89,11 +87,6 @@ void measure_program(const corpus::CorpusProgram& source, Checks* checks) {
                   predictions[i].default_speedup, decision.c_str(),
                   measured.c_str(), implied.c_str());
     };
-    if (source.name == "desktop_search") {
-      row("not measured: races (ROADMAP item 1)", "-");
-      continue;
-    }
-
     const std::vector<patterns::Candidate> alone = {c};
     const rt::TuningConfig config = transform::default_tuning(alone);
     std::vector<double> ratios;

@@ -1,10 +1,9 @@
 // Reproduces the auto-tuning cycle of figure 4c and §3 R1: the tuner
 // repeatedly initializes the tunable pipeline with parameter values,
 // executes it, measures the runtime, and computes new values. Compares the
-// paper's linear per-dimension search against the algorithms it cites as
-// future work (Nelder-Mead [30], tabu [31]), a random baseline, and the
-// model-guided tuner (tuning/model.hpp), which fits a pipeline cost model
-// from ONE telemetry probe and then measures only its top-K predictions.
+// paper's linear per-dimension search against the model-guided tuner
+// (tuning/model.hpp), which fits a pipeline cost model from ONE telemetry
+// probe and then measures only its top-K predictions.
 //
 // The knobs use the detector's canonical naming (stageX.replication,
 // fuseXY, sequential) so the model-guided tuner recognizes the space.
@@ -150,22 +149,13 @@ int main(int argc, char** argv) {
   constexpr std::size_t kBudget = 24;
   constexpr int kTrials = 5;
 
-  const char* const names[] = {"linear", "random", "nelder-mead", "tabu",
-                               "model-guided"};
+  const char* const names[] = {"linear", "model-guided"};
   std::vector<TunerRows> rows(std::size(names));
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i].name = names[i];
   const auto run_tuner = [&](std::size_t i) {
-    switch (i) {
-      case 0: return tu::make_linear_tuner()->tune(make_space(),
-                                                   measure_pipeline, kBudget);
-      case 1: return tu::make_random_tuner(7)->tune(make_space(),
-                                                    measure_pipeline, kBudget);
-      case 2: return tu::make_nelder_mead_tuner(7)->tune(
-                  make_space(), measure_pipeline, kBudget);
-      case 3: return tu::make_tabu_tuner(7)->tune(make_space(),
-                                                  measure_pipeline, kBudget);
-      default: return run_model_guided(5, kBudget);
-    }
+    return i == 0 ? tu::make_linear_tuner()->tune(make_space(),
+                                                  measure_pipeline, kBudget)
+                  : run_model_guided(5, kBudget);
   };
   std::vector<double> untuned;
   for (int trial = 0; trial < kTrials; ++trial) {

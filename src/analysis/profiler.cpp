@@ -85,55 +85,81 @@ struct LoopNode {
   LoopNode* parent;  // enclosing active loop; next free node while pooled
   std::uint32_t refs;
   std::int32_t depth;  // 0 for the outermost active loop
+  std::int32_t frame;  // call depth of the frame that runs the loop
+};
+
+/// One active call of the call stack, immutable and shared like LoopNode:
+/// an access keeps the chain of call sites it ran under.
+struct CallNode {
+  const lang::Stmt* site;  // null for a call without a site
+  CallNode* parent;  // the caller's call; next free node while pooled
+  std::uint32_t refs;
+  std::int32_t depth;  // 1 for the outermost call
 };
 
 int depth_of(const LoopNode* node) { return node ? node->depth : -1; }
+int depth_of(const CallNode* node) { return node ? node->depth : 0; }
 
-/// Reference-counted loop nodes, recycled through a free list: a node dies
+/// Reference-counted chain nodes, recycled through a free list: a node dies
 /// once no access, inner node or the stack refers to it, so the pool stays
 /// as large as the contexts still referenced, not the iteration count.
+template <typename Node>
 class NodePool {
  public:
-  LoopNode* make(const lang::Stmt* loop, std::int64_t iteration,
-                 LoopNode* parent) {
+  /// A node with `value`'s fields and the caller's one reference.
+  Node* make(const Node& value) {
     if (!free_) refill();
-    LoopNode* node = free_;
+    Node* node = free_;
     free_ = node->parent;
-    *node = {loop, iteration, parent, 1, depth_of(parent) + 1};
+    *node = value;
+    node->refs = 1;
+    node->depth = depth_of(value.parent) + 1;
     return node;
   }
-  static void retain(LoopNode* node) {
+  static void retain(Node* node) {
     if (node) ++node->refs;
   }
-  void release(LoopNode* node) {
+  void release(Node* node) {
     while (node && --node->refs == 0) {
-      LoopNode* parent = node->parent;
+      Node* parent = node->parent;
       node->parent = free_;
       free_ = node;
       node = parent;
     }
   }
   [[nodiscard]] std::size_t bytes() const {
-    return chunks_.size() * kChunk * sizeof(LoopNode);
+    return chunks_.size() * kChunk * sizeof(Node);
   }
 
  private:
   static constexpr std::size_t kChunk = 16;
   void refill() {
-    chunks_.push_back(std::make_unique<LoopNode[]>(kChunk));
+    chunks_.push_back(std::make_unique<Node[]>(kChunk));
     for (std::size_t i = 0; i < kChunk; ++i) {
       chunks_.back()[i].parent = free_;
       free_ = &chunks_.back()[i];
     }
   }
-  std::vector<std::unique_ptr<LoopNode[]>> chunks_;
-  LoopNode* free_ = nullptr;
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  Node* free_ = nullptr;
 };
 
 struct Access {
   const lang::Stmt* stmt = nullptr;
   LoopNode* context = nullptr;  // one reference held
+  CallNode* calls = nullptr;    // one reference held
 };
+
+/// The statement that stands for an access to `stmt` under the call chain
+/// `chain` in the frame at call depth `frame`: `stmt` itself when it ran in
+/// that frame, else the call site by which that frame was left (null for a
+/// call without a site). Walks `chain` down to the frame, so the frames of
+/// successive calls must not increase.
+const lang::Stmt* lift(const CallNode*& chain, int frame,
+                       const lang::Stmt* stmt) {
+  while (depth_of(chain) > frame + 1) chain = chain->parent;
+  return depth_of(chain) == frame + 1 ? chain->site : stmt;
+}
 
 /// A cell's slot in the table is its address; `alloc` says which
 /// allocation's records the slot holds (see MemLoc).
@@ -216,7 +242,9 @@ struct Profiler::Trace {
   int current = kNone;
   std::vector<int> call_sites;
   LoopNode* loop_top = nullptr;
-  NodePool nodes;
+  CallNode* call_top = nullptr;
+  NodePool<LoopNode> nodes;
+  NodePool<CallNode> calls;
   FlatMap<CellKey, Cell, CellHash> cells{CellKey{nullptr, INT64_MIN}};
   FlatMap<DepKey, std::int64_t, DepKeyHash> deps{
       DepKey{INT_MIN, 0, 0, 0, 0}};
@@ -321,24 +349,32 @@ struct Profiler::Trace {
   Cell& cell(const MemLoc& loc) {
     Cell& c = cells[CellKey{loc.base, loc.index}];
     if (c.alloc != loc.alloc) {
-      nodes.release(c.reader.context);
-      nodes.release(c.writer.context);
+      for (Access* access : {&c.reader, &c.writer}) {
+        nodes.release(access->context);
+        calls.release(access->calls);
+      }
       c = Cell{loc.alloc, {}, {}};
     }
     return c;
   }
 
   void set(Access& access, const lang::Stmt& stmt) {
-    if (access.stmt == &stmt && access.context == loop_top) return;
-    NodePool::retain(loop_top);
+    if (access.stmt == &stmt && access.context == loop_top &&
+        access.calls == call_top)
+      return;
+    NodePool<LoopNode>::retain(loop_top);
+    NodePool<CallNode>::retain(call_top);
     nodes.release(access.context);
-    access = {&stmt, loop_top};
+    calls.release(access.calls);
+    access = {&stmt, loop_top, call_top};
   }
 
   /// Records `from` -> `to` for every loop the two accesses share, compared
   /// root-first: the first loop that differs, or that `to` sees at an
   /// earlier iteration than `from` did (another execution of it), ends the
-  /// comparison.
+  /// comparison. Each loop sees an access in a callee as the call site in
+  /// its own method that led there, so a dependence through a callee's
+  /// cells reaches the loop's body statements.
   void record_dep(const Access& from, const lang::Stmt& to, DepKind kind,
                   std::int64_t slot) {
     const LoopNode* now = loop_top;
@@ -352,11 +388,19 @@ struct Profiler::Trace {
     for (const LoopNode *a = now, *b = then; a != b;
          a = a->parent, b = b->parent)
       if (a->loop != b->loop || a->iteration < b->iteration) stop = a->depth;
+    const CallNode* now_calls = call_top;
+    const CallNode* then_calls = from.calls;
     for (const LoopNode *a = now, *b = then; a;
          a = a->parent, b = b->parent) {
       if (a->depth >= stop) continue;
-      std::int64_t& distance = deps[DepKey{a->loop->id, from.stmt->id, to.id,
-                                           static_cast<int>(kind), slot}];
+      const lang::Stmt* source = lift(then_calls, a->frame, from.stmt);
+      const lang::Stmt* sink = lift(now_calls, a->frame, &to);
+      if (!source || !sink) continue;
+      // A lifted access's local belongs to the callee's frame.
+      const bool lifted = source != from.stmt || sink != &to;
+      std::int64_t& distance =
+          deps[DepKey{a->loop->id, source->id, sink->id,
+                      static_cast<int>(kind), lifted ? -1 : slot}];
       const std::int64_t delta = a->iteration - b->iteration;
       if (delta > 0 && (distance == 0 || delta < distance)) distance = delta;
     }
@@ -413,7 +457,8 @@ void Profiler::on_loop_enter(const lang::Stmt& loop) {
   const int s = t.index_of(loop.id);
   if (s != kNone) ++t.loop_counts[t.stmts[s].slot].entries;
   // The new node takes over the stack's reference to its parent.
-  t.loop_top = t.nodes.make(&loop, -1, t.loop_top);
+  t.loop_top =
+      t.nodes.make({&loop, -1, t.loop_top, 0, 0, depth_of(t.call_top)});
   dirty_.store(true, std::memory_order_relaxed);
 }
 
@@ -427,8 +472,9 @@ void Profiler::on_loop_iteration(const lang::Stmt& loop, std::int64_t iter) {
     if (top->refs == 1) {
       top->iteration = iter;  // nothing else refers to it yet
     } else {
-      NodePool::retain(top->parent);
-      t.loop_top = t.nodes.make(&loop, iter, top->parent);
+      NodePool<LoopNode>::retain(top->parent);
+      t.loop_top =
+          t.nodes.make({&loop, iter, top->parent, 0, 0, top->frame});
       t.nodes.release(top);
     }
   }
@@ -440,7 +486,7 @@ void Profiler::on_loop_exit(const lang::Stmt& loop) {
   Trace& t = *trace_;
   LoopNode* top = t.loop_top;
   if (top && top->loop == &loop) {
-    NodePool::retain(top->parent);
+    NodePool<LoopNode>::retain(top->parent);
     t.loop_top = top->parent;
     t.nodes.release(top);
   }
@@ -464,6 +510,8 @@ void Profiler::on_call(const lang::MethodDecl& callee,
   const int site = call_site ? t.index_of(call_site->id) : kNone;
   if (body != kNone) ++t.call_counts[t.stmts[body].slot];
   t.call_sites.push_back(site);
+  // The new node takes over the stack's reference to its parent.
+  t.call_top = t.calls.make({call_site, t.call_top, 0, 0});
   for (int s = site; s != kNone; s = t.stmts[s].parent)
     t.open(s, total_cost());
   dirty_.store(true, std::memory_order_relaxed);
@@ -477,6 +525,11 @@ void Profiler::on_return(const lang::MethodDecl& callee) {
   for (int s = t.call_sites.back(); s != kNone; s = t.stmts[s].parent)
     t.close(s, total_cost());
   t.call_sites.pop_back();
+  if (CallNode* top = t.call_top) {
+    NodePool<CallNode>::retain(top->parent);
+    t.call_top = top->parent;
+    t.calls.release(top);
+  }
   dirty_.store(true, std::memory_order_relaxed);
 }
 
@@ -575,7 +628,7 @@ std::size_t Profiler::memory_footprint() const {
                       t.branch_counts.capacity() * sizeof(Trace::BranchCount) +
                       t.call_counts.capacity() * sizeof(std::uint64_t) +
                       t.call_sites.capacity() * sizeof(int) + t.nodes.bytes() +
-                      t.cells.bytes() + t.deps.bytes();
+                      t.calls.bytes() + t.cells.bytes() + t.deps.bytes();
   constexpr std::size_t kMapNode = 32;  // red-black node links and colour
   for (const auto& [id, loop] : loops_)
     bytes += kMapNode + sizeof(id) + sizeof(loop) +

@@ -19,9 +19,10 @@
 
 namespace patty::analysis {
 
-/// Each trace event does constant work. It allocates only to grow a table
-/// or pool past its high-water mark (a new cell, dependence, live loop
-/// context or call depth):
+/// Each trace event does constant work, but for a recorded dependence's
+/// call-chain walk (below). It allocates only to grow a table or pool past
+/// its high-water mark (a new cell, dependence, live loop context or call
+/// depth):
 ///  - Per-statement counters live in dense arrays over a compact statement
 ///    index, built once at construction from every method.
 ///  - Inclusive cost comes from open intervals. A statement is open while
@@ -36,6 +37,12 @@ namespace patty::analysis {
 ///    that was current when it happened, and a dependence compares two node
 ///    chains root-first. Nodes are reference-counted and pooled, so one
 ///    lives only while an access or an inner loop refers to it.
+///  - An access also holds its chain of call sites, pooled the same way,
+///    and a loop node the call depth of the frame that runs its loop. Each
+///    loop records a dependence between statements of its own method: an
+///    access in a callee stands as the call site by which it left the
+///    loop's frame, found by walking the chain (O(call depth)). A call
+///    without a site (a constructor run by `new`) drops the dependence.
 ///  - One hash map from a cell to its last reader and last writer, and one
 ///    flat map of dependence accumulators, sorted once when folded.
 ///

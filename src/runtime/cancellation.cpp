@@ -31,17 +31,21 @@ void DeadlineScheduler::run() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     if (queue_.empty()) {
+      wake_at_ = Clock::time_point::max();
       cv_.wait(lock, [this] { return !queue_.empty(); });
       continue;
     }
     const Clock::time_point earliest = queue_.begin()->first;
     if (Clock::now() < earliest) {
       // Wake early if a sooner entry arrives or the earliest is cancelled.
+      wake_at_ = earliest;
       cv_.wait_until(lock, earliest, [this, earliest] {
         return queue_.empty() || queue_.begin()->first < earliest;
       });
       continue;
     }
+    // Awake until the next scan: no schedule() needs to notify.
+    wake_at_ = Clock::time_point::min();
     auto it = queue_.begin();
     Entry entry = std::move(it->second);
     index_.erase(entry.id);
@@ -61,13 +65,18 @@ DeadlineScheduler::Handle DeadlineScheduler::schedule(
     std::chrono::milliseconds delay, std::function<void()> on_expire) {
   const Clock::time_point when = Clock::now() + delay;
   Handle id = 0;
+  bool sooner = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     id = next_id_++;
     auto it = queue_.emplace(when, Entry{id, std::move(on_expire)});
     index_.emplace(id, it);
+    // A daemon arms a deadline per request, almost always later than the
+    // one the thread already sleeps toward: waking it for nothing would
+    // cost every request a futex wake and a context switch.
+    sooner = when < wake_at_;
   }
-  cv_.notify_all();
+  if (sooner) cv_.notify_all();
   return id;
 }
 

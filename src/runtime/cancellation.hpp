@@ -190,6 +190,9 @@ class DeadlineScheduler {
   std::unordered_map<Handle, std::multimap<Clock::time_point, Entry>::iterator>
       index_;
   Handle next_id_ = 1;
+  /// When the timer thread next wakes on its own (max while the queue is
+  /// empty): only an entry due before it needs a notify.
+  Clock::time_point wake_at_ = Clock::time_point::max();
 };
 
 /// RAII deadline on the shared scheduler: requests stop on `source` when

@@ -1,9 +1,7 @@
 #include "runtime/parallel_for.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,9 +58,9 @@ std::int64_t effective_grain(std::int64_t range,
 /// pointer; telemetry mirrors the old static-chunking implementation. The
 /// group is the loop's fault domain: the first leaf to throw claims its
 /// exception slot and stops the loop. `stop` is the loop's one stop signal:
-/// chained to the enclosing region's token, stopped by a fault or the
-/// deadline, and installed as the ambient token around each leaf so nested
-/// regions started from the body chain to it in turn.
+/// chained to the enclosing region's token (which carries any deadline),
+/// stopped by a fault, and installed as the ambient token around each leaf
+/// so nested regions started from the body chain to it in turn.
 struct SplitCtx {
   detail::ChunkInvoker invoke;
   void* ctx;
@@ -148,9 +146,6 @@ void parallel_for_driver(std::int64_t begin, std::int64_t end,
                   " threads=" + std::to_string(threads));
   SplitCtx c{invoke, ctx, grain, telemetry, {},
              StopSource(current_stop_token())};
-  std::optional<ScopedDeadline> deadline;
-  if (tuning.deadline_ms > 0)
-    deadline.emplace(c.stop, std::chrono::milliseconds(tuning.deadline_ms));
   // The caller participates: it keeps splitting left halves and runs leaves
   // itself while pool workers steal and process the spawned right halves.
   // The helping join makes this safe from inside a pool task too — a worker
@@ -159,30 +154,14 @@ void parallel_for_driver(std::int64_t begin, std::int64_t end,
   run_range(c, begin, end);
   ThreadPool::shared().wait_on(c.group);
   if (!c.stop.stop_requested()) return;
-  const bool expired = deadline && deadline->expired();
-  // Neither our fault nor our deadline: the enclosing region stopped.
-  if (!c.group.faulted() && !expired) throw OperationCancelled("parallel_for");
-  if (telemetry) {
-    loop_metrics().faults.add();
-    if (expired)
-      observe::Registry::global()
-          .counter("fault.deadline_cancellations")
-          .add();
-  }
-  if (tuning.fallback_sequential && !current_stop_token().stop_requested()) {
-    // Graceful degradation: the paper's SequentialExecution escape hatch,
-    // applied after the fact. Safe for idempotent bodies only (each
-    // iteration writes its own output), which is what the detector emits.
+  if (c.group.faulted()) {
     if (telemetry) {
-      observe::Registry::global().counter("fault.fallbacks").add();
-      loop_metrics().sequential_fallbacks.add();
+      loop_metrics().faults.add();
+      observe::Registry::global().counter("fault.rethrown").add();
     }
-    invoke(ctx, begin, end);
-    return;
+    c.group.rethrow_if_faulted();
   }
-  if (telemetry && c.group.faulted())
-    observe::Registry::global().counter("fault.rethrown").add();
-  c.group.rethrow_if_faulted();
+  // Not our fault: the enclosing region (or its deadline) stopped us.
   throw OperationCancelled("parallel_for");
 }
 

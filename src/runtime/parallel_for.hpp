@@ -19,14 +19,6 @@ struct ParallelForTuning {
   int threads = 0;         // 0 = hardware concurrency
   std::int64_t grain = 0;  // 0 = auto (range / (threads * 8), at least 1)
   bool sequential = false;
-  /// Graceful degradation: when the parallel run faults (a chunk throws) or
-  /// the deadline expires, rerun the WHOLE range sequentially instead of
-  /// rethrowing. Requires an idempotent loop body — the paper's patterns
-  /// qualify (each iteration overwrites its own output slots).
-  bool fallback_sequential = false;
-  /// 0 = no deadline; otherwise cancel the region after this many ms
-  /// (OperationCancelled at the join, or sequential rerun with fallback).
-  std::int64_t deadline_ms = 0;
 };
 
 namespace detail {

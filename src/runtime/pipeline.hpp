@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -22,7 +21,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "observe/explain.hpp"
@@ -46,16 +44,6 @@ struct PipelineConfig {
   /// Name under which telemetry-enabled runs publish their per-stage
   /// observation (observe::recent_pipelines) and trace spans.
   std::string name = "pipeline";
-  /// Graceful degradation for run_over(): when the parallel run faults, the
-  /// input is replayed through the stages sequentially on the caller thread
-  /// (the SequentialExecution escape hatch, applied after the fact). The
-  /// input is copied up front so a partially-consumed source can be
-  /// replayed; stage fns must be idempotent per element.
-  bool fallback_sequential = false;
-  /// 0 = no deadline; otherwise the run is stopped after this many ms (every
-  /// queue closed, workers unwound) and run() throws OperationCancelled — or
-  /// run_over falls back when enabled.
-  std::int64_t deadline_ms = 0;
 };
 
 template <typename T>
@@ -153,15 +141,11 @@ class Pipeline {
     const std::size_t n_stages = effective_.size();
     // One fault domain per run: the first thread (worker, generator, or
     // sink) to catch an exception claims ctl.slot and stops the run. Any
-    // thread that leaves its loop on a stop — fault, deadline or enclosing
-    // region — poisons every queue so peers blocked on a dead neighbour
-    // wake and unwind; run() rethrows the captured exception after the
-    // joins.
+    // thread that leaves its loop on a stop — a fault or the enclosing
+    // region (which carries any deadline) — poisons every queue so peers
+    // blocked on a dead neighbour wake and unwind; run() rethrows the
+    // captured exception after the joins.
     RunControl ctl{StopSource(current_stop_token()), {}};
-    std::optional<ScopedDeadline> deadline;
-    if (config_.deadline_ms > 0)
-      deadline.emplace(ctl.stop,
-                       std::chrono::milliseconds(config_.deadline_ms));
     // queues[i] feeds stage i; queues[n_stages] feeds the sink. Ring per
     // edge from the stage topology: the generator and the sink are single
     // producer/consumer endpoints; a stage contributes its replication.
@@ -253,17 +237,12 @@ class Pipeline {
     }
     generator.join();
     for (std::thread& t : threads) t.join();
-    const bool expired = deadline && deadline->expired();
     if (telemetry)
       publish_observation(&stats, /*sequential=*/false, run_start_us, telem,
                           &queues);
     if (ctl.stopped()) {
       if (telemetry) {
         observe::Registry::global().counter("pipeline.faults").add();
-        if (expired)
-          observe::Registry::global()
-              .counter("fault.deadline_cancellations")
-              .add();
         if (ctl.slot.set())
           observe::Registry::global().counter("fault.rethrown").add();
       }
@@ -273,56 +252,6 @@ class Pipeline {
       throw OperationCancelled(config_.name);
     }
     return stats;
-  }
-
-  /// Convenience: run over a vector, collect results in arrival order.
-  /// With config.fallback_sequential, a faulted parallel run is replayed
-  /// sequentially from a copy of the input (graceful degradation); the
-  /// degradation is visible via degraded()/degrade_reason() and the
-  /// "fault.fallbacks" counter.
-  std::vector<T> run_over(std::vector<T> input) {
-    degraded_ = false;
-    degrade_reason_.clear();
-    std::vector<T> backup;
-    if constexpr (std::is_copy_constructible_v<T>) {
-      // Copy up front: the failed run consumes an unknown prefix of the
-      // source, so replay needs the original elements.
-      if (config_.fallback_sequential) backup = input;
-    }
-    std::size_t idx = 0;
-    std::vector<T> out;
-    out.reserve(input.size());
-    try {
-      run(
-          [&]() -> std::optional<T> {
-            if (idx >= input.size()) return std::nullopt;
-            return std::move(input[idx++]);
-          },
-          [&](T&& v) { out.push_back(std::move(v)); });
-      return out;
-    } catch (const std::exception& e) {
-      if constexpr (std::is_copy_constructible_v<T>) {
-        if (config_.fallback_sequential) {
-          degraded_ = true;
-          degrade_reason_ = e.what();
-          if (observe::enabled())
-            observe::Registry::global().counter("fault.fallbacks").add();
-          out.clear();
-          for (T& v : backup) {
-            for (const Stage& s : effective_) s.fn(v);
-            out.push_back(std::move(v));
-          }
-          return out;
-        }
-      }
-      throw;
-    }
-  }
-
-  /// True when the last run_over() degraded to the sequential replay.
-  [[nodiscard]] bool degraded() const { return degraded_; }
-  [[nodiscard]] const std::string& degrade_reason() const {
-    return degrade_reason_;
   }
 
   [[nodiscard]] std::size_t stage_count_after_fusion() const {
@@ -518,8 +447,6 @@ class Pipeline {
 
   PipelineConfig config_;
   std::vector<Stage> effective_;
-  bool degraded_ = false;
-  std::string degrade_reason_;
 };
 
 }  // namespace patty::rt

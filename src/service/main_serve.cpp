@@ -45,7 +45,8 @@ void on_signal(int) {
       "  --queue-limit N       admission high-water mark (default 64)\n"
       "  --degrade-depth N     sequential-fallback depth (default: limit/2)\n"
       "  --cache-mb N          semantic-model cache budget (default 64)\n"
-      "  --deadline-ms N       default per-request deadline, 0 = none\n"
+      "  --deadline-ms N       default per-request deadline (default and\n"
+      "                        cap 60000)\n"
       "  --write-timeout-ms N  per-write send timeout, 0 = block forever\n",
       argv0);
   std::exit(code);

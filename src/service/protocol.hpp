@@ -57,7 +57,7 @@ struct Request {
   std::int64_t id = 0;
   RequestKind kind = RequestKind::Parse;
   std::string source;              // MiniOO program text
-  std::int64_t deadline_ms = 0;    // 0 = server default (which may be none)
+  std::int64_t deadline_ms = 0;    // 0 = server default (at most its cap)
   bool optimistic = true;          // detector mode
   bool parallel = false;           // parallel front-end inside the request
   bool no_cache = false;           // bypass the semantic-model cache

@@ -465,8 +465,10 @@ Response Server::execute(const Request& req, bool degrade) {
   rt::StopSource stop;
   std::int64_t deadline_ms =
       req.deadline_ms > 0 ? req.deadline_ms : options_.default_deadline_ms;
-  if (options_.max_deadline_ms > 0)
-    deadline_ms = std::min(deadline_ms, options_.max_deadline_ms);
+  // The ceiling bounds every request, one that carries no deadline too.
+  if (options_.max_deadline_ms > 0 &&
+      (deadline_ms <= 0 || deadline_ms > options_.max_deadline_ms))
+    deadline_ms = options_.max_deadline_ms;
   std::optional<rt::ScopedDeadline> deadline;
   if (deadline_ms > 0)
     deadline.emplace(stop, std::chrono::milliseconds(deadline_ms));
@@ -747,8 +749,6 @@ Response Server::handle_health(const Request& req, bool full_stats) {
   faults.set("captured", counter("fault.captured"));
   faults.set("rethrown", counter("fault.rethrown"));
   faults.set("fallbacks", counter("fault.fallbacks"));
-  faults.set("deadline_cancellations",
-             counter("fault.deadline_cancellations"));
   result.set("faults", std::move(faults));
 
   result.set("memory", observe::memory_summary());

@@ -19,8 +19,8 @@
 //    is answered `overloaded` immediately instead of queueing without
 //    bound, so latency stays bounded and memory cannot grow with offered
 //    load. Under sustained pressure (depth at or past `degrade_depth`)
-//    in-flight work degrades to the sequential front-end — the
-//    fallback_sequential escape hatch — reported in the response's
+//    in-flight work degrades to the sequential front-end — the paper's
+//    SequentialExecution escape hatch — reported in the response's
 //    `degraded`/`degrade_reason` fields.
 //
 //  * Content-hash model cache. Frozen semantic models are cached by source
@@ -75,7 +75,9 @@ struct ServerOptions {
   std::size_t cache_bytes = 64u << 20;
   /// Deadline applied when a request does not carry one; 0 = none.
   std::int64_t default_deadline_ms = 0;
-  /// Ceiling clamped onto any requested deadline.
+  /// Ceiling on every request's deadline: a longer one is clamped to it,
+  /// and a request left with none (no deadline_ms, no default) gets it.
+  /// 0 = no ceiling.
   std::int64_t max_deadline_ms = 60'000;
   /// Per-frame byte ceiling for this server.
   std::uint32_t max_frame_bytes = kMaxFrameBytes;

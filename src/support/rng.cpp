@@ -46,8 +46,6 @@ int Rng::int_in(int lo, int hi) {
   return lo + static_cast<int>(next_below(span));
 }
 
-bool Rng::chance(double p) { return next_double() < p; }
-
 Rng Rng::split() { return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL); }
 
 }  // namespace patty

@@ -1,11 +1,10 @@
 #pragma once
 // Deterministic random number generation. Everything stochastic in the repo
-// (study simulation, tuner exploration, corpus generation, input-data
-// synthesis) draws from a SplitMix64 stream seeded explicitly, so every
-// table and figure regenerates bit-identically.
+// (study simulation, corpus generation, input-data synthesis) draws from a
+// SplitMix64 stream seeded explicitly, so every table and figure
+// regenerates bit-identically.
 
 #include <cstdint>
-#include <vector>
 
 namespace patty {
 
@@ -31,21 +30,8 @@ class Rng {
   /// Uniform int in [lo, hi] inclusive.
   int int_in(int lo, int hi);
 
-  /// True with probability p.
-  bool chance(double p);
-
   /// Derive an independent child stream (for per-participant streams etc.).
   Rng split();
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(next_below(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   std::uint64_t state_;

@@ -1,8 +1,9 @@
 #pragma once
-// Shared search machinery of the tuners (tuner.cpp) and the model-guided
-// tuner (model.cpp): the flattened knob space, the budget/cache/hardening
-// evaluator, and the paper's linear per-dimension descent (the model-guided
-// tuner falls back to it when no cost model can be fit).
+// Shared search machinery of the linear tuner (tuner.cpp) and the
+// model-guided tuner (model.cpp): the flattened knob space, the
+// budget/cache/hardening evaluator, and the paper's linear per-dimension
+// descent (the model-guided tuner falls back to it when no cost model can
+// be fit).
 //
 // Internal header — not part of the tuning library's public surface.
 
@@ -87,9 +88,7 @@ struct Evaluator {
   std::size_t budget;
   TunerOptions options;
   TuningRun run;
-  /// Measured scores keyed by the name-sorted value vector; its size is
-  /// the distinct points measured, exhaustive-coverage tuners' (random)
-  /// termination signal.
+  /// Measured scores keyed by the name-sorted value vector.
   std::map<std::vector<std::int64_t>, double> memo;
   /// The caller's region: every candidate's stop source chains to it.
   rt::StopToken enclosing = rt::current_stop_token();

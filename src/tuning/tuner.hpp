@@ -4,9 +4,11 @@
 // The tuner repeatedly initializes the tuning configuration, measures the
 // program, and proposes new values — the cycle Patty's IDE panel shows.
 // The paper's implementation "explores the search space linearly in each
-// dimension"; the references it names as future work are also implemented
-// here (Nelder-Mead simplex [30], tabu search [31]) plus seeded random
-// search as a baseline, so the tuner-convergence bench can compare them.
+// dimension"; that is the linear tuner here. The model-guided tuner
+// (tuning/model.hpp) fits a cost model instead and measures only its
+// top-ranked configurations. The searches the paper names as future work
+// (Nelder-Mead simplex [30], tabu search [31]) are left out: on the
+// tuner-convergence bench neither beats both of these (EXPERIMENTS A2).
 
 #include <cstdint>
 #include <functional>
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "runtime/tuning.hpp"
-#include "support/rng.hpp"
 
 namespace patty::tuning {
 
@@ -33,7 +34,7 @@ struct Evaluation {
 };
 
 /// What the model-guided tuner fit and how well it predicted (empty /
-/// used == false for the search-based tuners).
+/// used == false for the linear tuner).
 struct ModelFitInfo {
   bool used = false;
   /// "pipeline" | "loop" | "master-worker" | "injected" | "fallback-linear".
@@ -87,16 +88,5 @@ class Tuner {
 /// The paper's algorithm: sweep each dimension in turn, keeping the best
 /// value found, until a full pass improves nothing or the budget runs out.
 std::unique_ptr<Tuner> make_linear_tuner();
-
-/// Uniform random sampling of the search space (baseline).
-std::unique_ptr<Tuner> make_random_tuner(std::uint64_t seed);
-
-/// Nelder-Mead simplex on the index space of each parameter's domain,
-/// rounded to admissible values (ref [30]).
-std::unique_ptr<Tuner> make_nelder_mead_tuner(std::uint64_t seed);
-
-/// Tabu search over single-step neighborhood moves (ref [31]).
-std::unique_ptr<Tuner> make_tabu_tuner(std::uint64_t seed,
-                                       std::size_t tabu_tenure = 8);
 
 }  // namespace patty::tuning

@@ -94,6 +94,16 @@ TEST(CorpusTest, AviStreamPipelineDetected) {
 TEST(CorpusTest, DesktopSearchPipelineDetected) {
   const DetectionScore score = score_program(desktop_search(), true);
   EXPECT_EQ(score.true_positives, 1);
+  // The index stage appends to one shared list inside `Index.Add`, so it
+  // must stay a single unreplicated stage (not a data-parallel loop).
+  DiagnosticSink diags;
+  auto program = lang::parse_and_check(desktop_search().source, diags);
+  ASSERT_TRUE(program) << diags.to_string();
+  auto model = analysis::SemanticModel::build(*program);
+  const auto detection = patterns::detect_all(*model);
+  ASSERT_FALSE(detection.candidates.empty());
+  EXPECT_EQ(detection.candidates[0].kind, patterns::PatternKind::Pipeline);
+  EXPECT_EQ(detection.candidates[0].tadl, "A+ => B+ => C+ => D");
 }
 
 TEST(CorpusTest, MatrixKernelsDetected) {

@@ -10,9 +10,8 @@
 //     consumers parked on an empty one, on both rings;
 //   * a stop flows down nested regions: a region nested in a pool task or a
 //     pipeline stage stops with the enclosing region, a stopped pipeline
-//     closes every queue, and armed deadlines share the scheduler thread;
-//   * graceful degradation replays the region sequentially when enabled,
-//     visibly (degraded()/observe counters/tuner report);
+//     closes every queue, and a deadline armed on an enclosing scope stops
+//     the regions inside it, sharing the scheduler thread;
 //   * the tuner survives throwing and hung candidates;
 //   * the plan executor degrades a faulted region to the interpreter and
 //     still produces the reference output, a master/worker region running
@@ -253,45 +252,18 @@ TEST_F(FaultTest, ParallelForEveryChunkThrowingStillYieldsOneException) {
   EXPECT_EQ(what.rfind("chunk ", 0), 0u) << what;
 }
 
-TEST_F(FaultTest, ParallelForFallbackRerunsSequentially) {
-  observe::set_enabled(true);
-  const std::uint64_t fallbacks_before = counter("fault.fallbacks");
-  fp::arm("parallel_for.leaf", {fp::ActionKind::Throw, 1, 0});
-  auto tuning = pf_tuning();
-  tuning.fallback_sequential = true;
-  std::vector<std::atomic<int>> hitv(64);
-  rt::parallel_for(0, 64, [&](std::int64_t i) { ++hitv[static_cast<std::size_t>(i)]; },
-                   tuning);
-  // Degradation contract: every index covered (the sequential rerun spans
-  // the whole range; the body is idempotent in the sense that reruns are
-  // observable but benign — here we just require full coverage).
-  for (auto& h : hitv) EXPECT_GE(h.load(), 1);
-  EXPECT_EQ(counter("fault.fallbacks"), fallbacks_before + counted(1));
-  observe::set_enabled(false);
-}
-
 TEST_F(FaultTest, ParallelForDeadlineCancelsRegion) {
-  auto tuning = pf_tuning(/*grain=*/1);
-  tuning.deadline_ms = 25;
+  // The deadline is armed on the enclosing scope, as a daemon request or a
+  // tuner candidate arms it; the region inherits it as its ambient token.
+  rt::StopSource enclosing;
+  rt::ScopedDeadline deadline(enclosing, 25ms);
+  rt::StopScope ambient(enclosing.token());
   EXPECT_THROW(rt::parallel_for(
                    0, 12,
                    [](std::int64_t) { std::this_thread::sleep_for(15ms); },
-                   tuning),
+                   pf_tuning(/*grain=*/1)),
                rt::OperationCancelled);
-}
-
-TEST_F(FaultTest, ParallelForDeadlineWithFallbackCompletes) {
-  auto tuning = pf_tuning(/*grain=*/1);
-  tuning.deadline_ms = 20;
-  tuning.fallback_sequential = true;
-  std::vector<std::atomic<int>> hitv(8);
-  rt::parallel_for(0, 8,
-                   [&](std::int64_t i) {
-                     std::this_thread::sleep_for(10ms);
-                     ++hitv[static_cast<std::size_t>(i)];
-                   },
-                   tuning);
-  for (auto& h : hitv) EXPECT_GE(h.load(), 1);
+  EXPECT_TRUE(deadline.expired());
 }
 
 TEST_F(FaultTest, ParallelForHonoursInheritedCancellation) {
@@ -501,46 +473,17 @@ TEST_F(FaultTest, PipelineWorkerBodyFailpointPropagates) {
                fp::FailpointError);
 }
 
-TEST_F(FaultTest, PipelineRunOverFallsBackSequentially) {
-  observe::set_enabled(true);
-  const std::uint64_t fallbacks_before = counter("fault.fallbacks");
-  fp::arm("pipeline.worker.body", {fp::ActionKind::Throw, 1, 0});
-  rt::PipelineConfig cfg = small_buffers("fault.fallback");
-  cfg.fallback_sequential = true;
-  rt::Pipeline<Elem> p({{"double", [](Elem& e) { e.value *= 2; }, 1, false,
-                         false},
-                        {"inc", [](Elem& e) { e.value += 1; }, 1, false,
-                         false}},
-                       cfg);
-  std::vector<Elem> input;
-  for (int i = 0; i < 50; ++i) input.push_back(Elem{i, i});
-  std::vector<Elem> out = p.run_over(std::move(input));
-  EXPECT_TRUE(p.degraded());
-  EXPECT_NE(p.degrade_reason().find("pipeline.worker.body"),
-            std::string::npos)
-      << p.degrade_reason();
-  ASSERT_EQ(out.size(), 50u);
-  for (const Elem& e : out) EXPECT_EQ(e.value, e.id * 2 + 1);
-  EXPECT_EQ(counter("fault.fallbacks"), fallbacks_before + counted(1));
-  observe::set_enabled(false);
-
-  // The degradation is per-call: a clean run_over resets it.
-  std::vector<Elem> input2;
-  for (int i = 0; i < 10; ++i) input2.push_back(Elem{i, i});
-  out = p.run_over(std::move(input2));
-  EXPECT_FALSE(p.degraded());
-  ASSERT_EQ(out.size(), 10u);
-}
-
 TEST_F(FaultTest, PipelineDeadlineCancelsRun) {
-  rt::PipelineConfig cfg = small_buffers("fault.deadline");
-  cfg.deadline_ms = 40;
+  rt::StopSource enclosing;
+  rt::ScopedDeadline deadline(enclosing, 40ms);
+  rt::StopScope ambient(enclosing.token());
   rt::Pipeline<Elem> p({{"slow",
                          [](Elem&) { std::this_thread::sleep_for(5ms); }, 1,
                          false, false}},
-                       cfg);
+                       small_buffers("fault.deadline"));
   EXPECT_THROW(p.run(counting_source(1000), [](Elem&&) {}),
                rt::OperationCancelled);
+  EXPECT_TRUE(deadline.expired());
 }
 
 TEST_F(FaultTest, PipelineHonoursInheritedCancellation) {
@@ -870,28 +813,34 @@ TEST_F(FaultTest, ArmedDeadlinesStartNoThread) {
   const int before = process_threads();
   ASSERT_GT(before, 0);
 
+  // Regions run under a deadline armed on their enclosing scope.
   std::atomic<int> in_loop{-1};
-  auto tuning = pf_tuning(1);
-  tuning.deadline_ms = 60'000;
-  rt::parallel_for(
-      0, 8,
-      [&](std::int64_t i) {
-        if (i == 0) in_loop.store(process_threads());
-      },
-      tuning);
+  {
+    rt::StopSource enclosing;
+    rt::ScopedDeadline deadline(enclosing, 60'000ms);
+    rt::StopScope ambient(enclosing.token());
+    rt::parallel_for(
+        0, 8,
+        [&](std::int64_t i) {
+          if (i == 0) in_loop.store(process_threads());
+        },
+        pf_tuning(1));
+  }
   EXPECT_EQ(in_loop.load(), before) << "parallel_for deadline";
 
   // A pipeline run adds its stage and generator threads; a deadline adds
   // nothing on top of them. The source waits for the count, so the
   // generator thread is alive while the stage takes it.
-  auto threads_in_stage = [](std::int64_t deadline_ms) {
-    rt::PipelineConfig cfg = small_buffers("fault.deadline_threads");
-    cfg.deadline_ms = deadline_ms;
+  auto threads_in_stage = [](bool armed) {
+    rt::StopSource enclosing;
+    std::optional<rt::ScopedDeadline> deadline;
+    if (armed) deadline.emplace(enclosing, 60'000ms);
+    rt::StopScope ambient(enclosing.token());
     std::atomic<int> seen{-1};
     rt::Pipeline<Elem> p(
         {{"count", [&seen](Elem&) { seen.store(process_threads()); }, 1,
           false, false}},
-        cfg);
+        small_buffers("fault.deadline_threads"));
     bool emitted = false;
     p.run(
         [&]() -> std::optional<Elem> {
@@ -902,7 +851,7 @@ TEST_F(FaultTest, ArmedDeadlinesStartNoThread) {
         [](Elem&&) {});
     return seen.load();
   };
-  EXPECT_EQ(threads_in_stage(60'000), threads_in_stage(0))
+  EXPECT_EQ(threads_in_stage(true), threads_in_stage(false))
       << "pipeline deadline";
 
   auto tuner = tuning::make_linear_tuner();

@@ -177,7 +177,15 @@ TEST(PipelineTest, StatsCountThreadsAndElements) {
 
 TEST(PipelineTest, RunOverCollectsResults) {
   Pipeline<int> p({{"inc", [](int& v) { ++v; }, 1, false, false}});
-  std::vector<int> out = p.run_over({1, 2, 3});
+  const std::vector<int> input{1, 2, 3};
+  std::size_t next = 0;
+  std::vector<int> out;
+  p.run(
+      [&]() -> std::optional<int> {
+        if (next == input.size()) return std::nullopt;
+        return input[next++];
+      },
+      [&out](int&& v) { out.push_back(v); });
   EXPECT_EQ(out, (std::vector<int>{2, 3, 4}));
 }
 

@@ -390,6 +390,67 @@ TEST(ProfilerTest, AppendsToSameListAreCarriedConflicts) {
   EXPECT_TRUE(carried_output_self);
 }
 
+TEST(ProfilerTest, CalleeAppendIsCarriedAtItsCallSite) {
+  // The push runs in a callee; the loop sees it as its call statement, so
+  // the append's carried output dependence reaches the loop body.
+  Model m(R"(class Sink {
+    list<int> out;
+    void init() { out = new list<int>(); }
+    void Add(int v) { push(out, v); }
+  }
+  class Main {
+    void main() {
+      Sink sink = new Sink();
+      for (int i = 0; i < 5; i++) {
+        int v = i * 2;
+        sink.Add(v);
+      }
+      print(len(sink.out));
+    }
+  })");
+  const lang::Stmt* loop = m.method("Main", "main")->body->stmts[1].get();
+  ASSERT_EQ(loop->kind, lang::StmtKind::For);
+  const int call = loop->as<lang::For>().body->as<lang::Block>().stmts[1]->id;
+  bool carried_at_call = false;
+  for (const Dep& d : m.model->loop_dependences(*loop, /*optimistic=*/true))
+    if (d.kind == DepKind::Output && d.carried && d.from_id == call &&
+        d.to_id == call)
+      carried_at_call = true;
+  EXPECT_TRUE(carried_at_call);
+}
+
+TEST(ProfilerTest, CalleeWritesToFreshObjectsAreNotCarried) {
+  // Each iteration's callee writes a field of that iteration's own object:
+  // lifting the accesses to the call sites must not invent a carried
+  // dependence.
+  Model m(R"(class Box {
+    int v;
+    void Set(int x) { v = x; }
+    int Get() { return v; }
+  }
+  class Main {
+    void main() {
+      int[] out = new int[5];
+      for (int i = 0; i < 5; i++) {
+        Box b = new Box();
+        b.Set(i);
+        out[i] = b.Get();
+      }
+      print(out[4]);
+    }
+  })");
+  const lang::Stmt* loop = m.method("Main", "main")->body->stmts[1].get();
+  ASSERT_EQ(loop->kind, lang::StmtKind::For);
+  const auto& body = loop->as<lang::For>().body->as<lang::Block>().stmts;
+  bool set_to_get = false;
+  for (const Dep& d : m.model->loop_dependences(*loop, /*optimistic=*/true)) {
+    EXPECT_FALSE(d.carried) << d.str();
+    set_to_get |= d.kind == DepKind::True && d.from_id == body[1]->id &&
+                  d.to_id == body[2]->id;
+  }
+  EXPECT_TRUE(set_to_get);  // the field flows from Set's call to Get's
+}
+
 TEST(ProfilerTest, LoopsDiscoveredWithNesting) {
   Model m(R"(class Main {
     void main() {

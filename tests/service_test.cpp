@@ -965,6 +965,31 @@ TEST_F(ServiceTest, DeadlineInterruptsLongWork) {
   EXPECT_TRUE(answered.ok) << answered.error_message;
 }
 
+TEST_F(ServiceTest, DeadlineCeilingBoundsRequestWithoutDeadline) {
+  // The request carries no deadline_ms and the daemon has no default one:
+  // the ceiling still bounds it. Uncancelled, the call runs about 20 s.
+  ServerOptions options;
+  options.max_deadline_ms = 100;
+  start(options);
+  Client client = connect();
+  Request req;
+  req.id = 1;
+  req.kind = RequestKind::Detect;
+  req.source = "class Main { int main() { return work(300000000); } }";
+  req.no_cache = true;
+  const auto start_time = std::chrono::steady_clock::now();
+  const Response resp = must_call(client, req);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, ErrorCode::Deadline) << resp.error_message;
+  EXPECT_LT(std::chrono::steady_clock::now() - start_time, 2s);
+  Request next;
+  next.id = 2;
+  next.kind = RequestKind::Detect;
+  next.source = kSumSource;
+  const Response answered = must_call(client, next);
+  EXPECT_TRUE(answered.ok) << answered.error_message;
+}
+
 TEST_F(ServiceTest, TuneDeadlineCancelsSearchMidMeasurement) {
   // The model is cached first, so the deadline lands in the tuner's first
   // measurement; each measurement alone (about 200 ms) outlasts the

@@ -103,16 +103,6 @@ TEST(RngTest, SplitStreamsAreIndependent) {
   EXPECT_EQ(equal, 0);
 }
 
-TEST(RngTest, ShufflePermutes) {
-  Rng rng(3);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> orig = v;
-  rng.shuffle(v);
-  std::vector<int> sorted = v;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, orig);
-}
-
 // --- Stats -------------------------------------------------------------------
 
 TEST(StatsTest, MeanAndStddev) {

@@ -289,7 +289,7 @@ TEST(PlanTest, HandwrittenPredictedSpeedupsAreGolden) {
             {1, 0.18945927446954139},
             {1, 0.283638068448195},
             {3.7055250216951112, 3.5862262038073909}}},
-          {"desktop_search", {{1, 0.73167834659698305}}},
+          {"desktop_search", {{1, 0.45027039736656471}}},
           {"matrix",
            {{1.6314416177429876, 1.5695010982114843},
             {1, 0.20526567735758736},

@@ -1,14 +1,19 @@
-// Auto-tuner tests: all four algorithms must find the optimum of small
-// spaces, respect the evaluation budget, be deterministic under a fixed
-// seed, and never report a configuration they did not evaluate. The second
-// half covers the cost-model layer (tuning/model.hpp): telemetry fitting,
-// TADL composition, design-time speedup prediction, and the model-guided
-// tuner's eval-count and quality contracts.
+// Auto-tuner tests: the linear tuner must find the optimum of small
+// spaces, respect the evaluation budget, be deterministic, and never report
+// a configuration it did not evaluate; behaviours every tuner owes (a full
+// sweep crosses a ridge, a one-point space ends at once) run on both the
+// linear and the model-guided tuner. The second half covers the cost-model
+// layer (tuning/model.hpp): telemetry fitting, TADL composition,
+// design-time speedup prediction, and the model-guided tuner's eval-count
+// and quality contracts.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "observe/explain.hpp"
 #include "patterns/candidate.hpp"
@@ -51,17 +56,11 @@ double bowl(const rt::TuningConfig& c) {
   return (a - 5) * (a - 5) + (b - 3) * (b - 3) + f;
 }
 
+/// The tuner contract on the paper's linear search; the model-guided
+/// tuner's own contract is checked below.
 class TunerSweep : public ::testing::TestWithParam<int> {
  protected:
-  std::unique_ptr<Tuner> make() const {
-    switch (GetParam()) {
-      case 0: return make_linear_tuner();
-      case 1: return make_random_tuner(42);
-      case 2: return make_nelder_mead_tuner(42);
-      case 3: return make_tabu_tuner(42);
-    }
-    return nullptr;
-  }
+  std::unique_ptr<Tuner> make() const { return make_linear_tuner(); }
 };
 
 TEST_P(TunerSweep, FindsOptimumOfConvexBowl) {
@@ -102,14 +101,20 @@ TEST_P(TunerSweep, BestScoreIsMinOfHistory) {
   EXPECT_EQ(run.best_score, min_seen);
 }
 
-std::string tuner_param_name(const ::testing::TestParamInfo<int>& info) {
-  static const char* const names[] = {"linear", "random", "nelder_mead",
-                                      "tabu"};
-  return names[info.param];
-}
+INSTANTIATE_TEST_SUITE_P(Algorithms, TunerSweep, ::testing::Values(0),
+                         [](const ::testing::TestParamInfo<int>&) {
+                           return std::string("linear");
+                         });
 
-INSTANTIATE_TEST_SUITE_P(Algorithms, TunerSweep, ::testing::Values(0, 1, 2, 3),
-                         tuner_param_name);
+/// Every tuner the repo keeps: behaviours a tuner owes whatever its search
+/// strategy run on each (the model-guided tuner falls back to the linear
+/// search on spaces without pattern knobs).
+std::vector<std::unique_ptr<Tuner>> every_tuner() {
+  std::vector<std::unique_ptr<Tuner>> tuners;
+  tuners.push_back(make_linear_tuner());
+  tuners.push_back(make_model_guided_tuner());
+  return tuners;
+}
 
 TEST(LinearTunerTest, ConvergesFastOnSeparableFunction) {
   // Separable objective: linear search needs roughly sum of domain sizes.
@@ -136,9 +141,11 @@ TEST(LinearTunerTest, SingleParameterSpace) {
   EXPECT_EQ(run.best.get_or("x", -1), 7);
 }
 
-TEST(TabuTunerTest, EscapesLocalMinimum) {
+TEST(TunerTest, FullSweepCrossesRidgeToGlobalMinimum) {
   // Two-basin function over one dimension: local min at 2 (score 1),
-  // global at 8 (score 0), ridge between at 5.
+  // global at 8 (score 0), ridge between at 5. A search that only steps to
+  // neighbours from the start stalls at 2; a full per-dimension sweep
+  // reaches 8.
   rt::TuningConfig config;
   rt::TuningParameter p;
   p.name = "x";
@@ -151,24 +158,25 @@ TEST(TabuTunerTest, EscapesLocalMinimum) {
     const double table[] = {3, 2, 1, 2, 4, 6, 3, 1, 0, 2};
     return table[x];
   };
-  auto tuner = make_tabu_tuner(7);
-  TuningRun run = tuner->tune(config, score, 60);
-  EXPECT_EQ(run.best_score, 0.0);
-  EXPECT_EQ(run.best.get_or("x", -1), 8);
+  for (const auto& tuner : every_tuner()) {
+    TuningRun run = tuner->tune(config, score, 60);
+    EXPECT_EQ(run.best_score, 0.0) << tuner->name();
+    EXPECT_EQ(run.best.get_or("x", -1), 8) << tuner->name();
+  }
 }
 
-TEST(RandomTunerTest, DegenerateSpaceTerminates) {
+TEST(TunerTest, OnePointSpaceEndsAfterOneEvaluation) {
   rt::TuningConfig config;
   rt::TuningParameter p;
   p.name = "only";
   p.min = 3;
   p.max = 3;
   config.define(p);
-  auto tuner = make_random_tuner(1);
-  TuningRun run = tuner->tune(
-      config, [](const rt::TuningConfig&) { return 1.0; }, 50);
-  EXPECT_GE(run.evaluations, 1u);
-  EXPECT_LE(run.evaluations, 2u);
+  for (const auto& tuner : every_tuner()) {
+    TuningRun run = tuner->tune(
+        config, [](const rt::TuningConfig&) { return 1.0; }, 50);
+    EXPECT_EQ(run.evaluations, 1u) << tuner->name();
+  }
 }
 
 TEST(TunerTest, HistoryRecordsNameSortedValues) {
@@ -384,14 +392,9 @@ TEST(CostModelTest, PinnedPredictionsOfANestedSpace) {
   }
 }
 
-TEST(ModelGuidedTunerTest, MatchesExhaustiveBestWithinFivePercent) {
-  const Hardware hw{4};
-  auto truth = truth_pipeline();
-  auto measure = [&truth, &hw](const rt::TuningConfig& c) {
-    return truth->predict(c, hw);
-  };
-  // Ground truth: brute-force the whole 128-point space.
-  double exhaustive = std::numeric_limits<double>::infinity();
+/// Ground truth: the best score over the whole 128-point pipeline space.
+double exhaustive_best(const MeasureFn& measure) {
+  double best = std::numeric_limits<double>::infinity();
   rt::TuningConfig c = make_pipeline_space();
   for (std::int64_t ra = 1; ra <= 4; ++ra)
     for (std::int64_t rb = 1; rb <= 4; ++rb)
@@ -403,8 +406,18 @@ TEST(ModelGuidedTunerTest, MatchesExhaustiveBestWithinFivePercent) {
             c.set("fuseAB", fab);
             c.set("fuseBC", fbc);
             c.set("sequential", seq);
-            exhaustive = std::min(exhaustive, measure(c));
+            best = std::min(best, measure(c));
           }
+  return best;
+}
+
+TEST(ModelGuidedTunerTest, MatchesExhaustiveBestWithinFivePercent) {
+  const Hardware hw{4};
+  auto truth = truth_pipeline();
+  auto measure = [&truth, &hw](const rt::TuningConfig& c) {
+    return truth->predict(c, hw);
+  };
+  const double exhaustive = exhaustive_best(measure);
 
   // The tuner only gets the MIS-fit model: ranking has to survive ~10%
   // parameter error for the top-K validations to contain the real best.
@@ -419,6 +432,34 @@ TEST(ModelGuidedTunerTest, MatchesExhaustiveBestWithinFivePercent) {
   EXPECT_LE(run.evaluations, 1u + 5u);  // one probe + top-K validations
   EXPECT_LE(run.best_score, exhaustive * 1.05);
   EXPECT_GT(run.model.predicted_speedup, 1.0);
+}
+
+TEST(ModelGuidedTunerTest, ReachesOptimumPastLinearStall) {
+  // bench/tuner_convergence's analytic surface: the linear sweep settles
+  // in a local optimum 1.21x off the best, at any budget; the model ranks
+  // the whole space and measures its way to the optimum.
+  const Hardware hw{4};
+  auto truth = truth_pipeline();
+  auto measure = [&truth, &hw](const rt::TuningConfig& c) {
+    return truth->predict(c, hw);
+  };
+  const double optimum = exhaustive_best(measure);
+  EXPECT_NEAR(optimum, 4510.0, 0.5);
+  for (std::size_t budget : {16u, 24u, 64u}) {
+    const TuningRun linear =
+        make_linear_tuner()->tune(make_pipeline_space(), measure, budget);
+    EXPECT_EQ(linear.evaluations, 16u) << budget;
+    EXPECT_NEAR(linear.best_score, 5438.0, 1.0) << budget;
+    EXPECT_GT(linear.best_score, optimum * 1.2) << budget;
+  }
+  ModelGuidedOptions opts;
+  opts.top_k = 3;
+  opts.hardware = hw;
+  opts.model = misfit_pipeline();
+  const TuningRun guided = make_model_guided_tuner(std::move(opts))
+                               ->tune(make_pipeline_space(), measure, 24);
+  EXPECT_EQ(guided.best_score, optimum);
+  EXPECT_EQ(guided.evaluations, 4u);
 }
 
 TEST(ModelGuidedTunerTest, DeterministicAcrossRuns) {
