@@ -217,6 +217,167 @@ TEST(SemaTest, ForeachElementTypeChecked) {
   )"));
 }
 
+// The 43 type and scope checks of sema.cpp, one ill-typed program each,
+// pinned to the complete text the sink renders: severity, range and
+// message. Checks that share a message (four say "unknown type") differ by
+// range. Name-resolution and duplicate errors are the Error* cases above.
+struct RequireSiteCase {
+  const char* name;
+  const char* source;
+  const char* expected;  // DiagnosticSink::to_string()
+};
+
+const RequireSiteCase kRequireSites[] = {
+    {"FieldUnknownType",
+     "class A { Missing m; }",
+     "error 1:11-1:21: unknown type 'Missing'\n"},
+    {"FieldVoid",
+     "class A { void v; }",
+     "error 1:11-1:18: field cannot have type void\n"},
+    {"ReturnTypeUnknown",
+     "class A { Missing F() { return null; } }",
+     "error 1:11-1:39: unknown return type 'Missing'\n"},
+    {"ParamTypeUnknown",
+     "class A { void F(Missing m) { } }",
+     "error 1:18-1:27: unknown parameter type 'Missing'\n"},
+    {"LocalUnknownType",
+     "class A { void F() { Missing m = null; } }",
+     "error 1:22-1:39: unknown type 'Missing'\n"},
+    {"LocalVoid",
+     "class A { void F() { void v; } }",
+     "error 1:22-1:29: variable cannot have type void\n"},
+    {"InitMismatch",
+     "class A { void F() { list<int> x = new int[2]; } }",
+     "error 1:22-1:47: cannot initialize 'list<int>' from 'int[]'\n"},
+    {"AssignMismatch",
+     "class B { } class A { void F() { B b = null; b = 1; } }",
+     "error 1:46-1:52: cannot assign 'int' to 'B'\n"},
+    {"IfCondition",
+     "class A { void F() { if (1) { } } }",
+     "error 1:26-1:27: if condition must be bool, got 'int'\n"},
+    {"WhileCondition",
+     "class A { void F() { while (1) { } } }",
+     "error 1:29-1:30: while condition must be bool, got 'int'\n"},
+    {"ForCondition",
+     "class A { void F() { for (int i = 0; 1; i++) { } } }",
+     "error 1:38-1:39: for condition must be bool, got 'int'\n"},
+    {"ForeachUnknownType",
+     "class A { void F() { list<int> xs = new list<int>(); "
+     "foreach (Missing m in xs) { } } }",
+     "error 1:54-1:83: unknown type 'Missing'\n"
+     "error 1:54-1:83: loop variable type 'Missing' does not match element "
+     "type 'int'\n"},
+    {"ForeachElementMismatch",
+     "class A { void F() { list<bool> xs = new list<bool>(); "
+     "foreach (int x in xs) { } } }",
+     "error 1:56-1:81: loop variable type 'int' does not match element "
+     "type 'bool'\n"},
+    {"VoidReturnsValue",
+     "class A { void F() { return 3; } }",
+     "error 1:22-1:31: void method cannot return a value\n"},
+    {"ReturnMismatch",
+     "class A { int[] F() { return new list<bool>(); } }",
+     "error 1:23-1:47: cannot return 'list<bool>' from method returning "
+     "'int[]'\n"},
+    {"ReturnWithoutValue",
+     "class A { int F() { return; } }",
+     "error 1:21-1:28: non-void method must return a value\n"},
+    {"BreakOutsideLoop",
+     "class A { void F() { break; } }",
+     "error 1:22-1:28: break outside of a loop\n"},
+    {"ContinueOutsideLoop",
+     "class A { void F() { continue; } }",
+     "error 1:22-1:31: continue outside of a loop\n"},
+    {"IndexNotInt",
+     "class A { void F() { int[] xs = new int[3]; int y = xs[true]; } }",
+     "error 1:56-1:60: index must be int, got 'bool'\n"},
+    {"ConstructorArity",
+     "class B { void init(int x) { } } class A { void F() { B b = new B(); } }",
+     "error 1:61-1:68: constructor of 'B' takes 1 argument(s), got 0\n"},
+    {"ConstructorArgType",
+     "class B { void init(int x) { } } "
+     "class A { void F() { B b = new B(true); } }",
+     "error 1:67-1:71: constructor argument 1: cannot pass 'bool' as 'int'\n"},
+    {"NoConstructor",
+     "class B { } class A { void F() { B b = new B(1); } }",
+     "error 1:40-1:48: class 'B' has no 'init' constructor\n"},
+    {"NewArrayUnknownType",
+     "class A { void F() { print(len(new Missing[3])); } }",
+     "error 1:32-1:46: unknown type 'Missing[]'\n"},
+    {"ArraySizeNotInt",
+     "class A { void F() { int[] xs = new int[true]; } }",
+     "error 1:41-1:45: array size must be int\n"},
+    {"NegNotNumeric",
+     "class A { void F() { bool b = -true; } }",
+     "error 1:31-1:36: unary '-' needs a numeric operand\n"},
+    {"NotNotBool",
+     "class A { void F() { bool b = !1; } }",
+     "error 1:31-1:33: unary '!' needs a bool operand\n"},
+    {"ArithmeticNotNumeric",
+     "class A { void F() { int x = 1 - true; } }",
+     "error 1:30-1:38: operator '-' needs numeric operands, got 'int' and "
+     "'bool'\n"},
+    {"ModNotInt",
+     "class A { void F() { int x = 1 % 2.0; } }",
+     "error 1:30-1:37: operator '%' needs int operands\n"},
+    {"RelationalOperands",
+     "class A { void F() { bool b = 1 < true; } }",
+     "error 1:31-1:39: relational operator needs numeric or string operands\n"},
+    {"EqualityOperands",
+     "class A { void F() { bool b = 1 == true; } }",
+     "error 1:31-1:40: cannot compare 'int' with 'bool'\n"},
+    {"LogicalOperands",
+     "class A { void F() { bool b = 1 && true; } }",
+     "error 1:31-1:40: logical operator needs bool operands\n"},
+    {"MethodArity",
+     "class A { int G(int x) { return x; } void F() { G(); } }",
+     "error 1:49-1:52: method 'G' takes 1 argument(s), got 0\n"},
+    {"MethodArgType",
+     "class A { int G(int x) { return x; } void F() { G(true); } }",
+     "error 1:51-1:55: argument 1 of 'G': cannot pass 'bool' as 'int'\n"},
+    {"BuiltinArity",
+     "class A { void F() { print(1, 2); } }",
+     "error 1:22-1:33: builtin 'print' takes 1 argument(s), got 2\n"},
+    {"LenOperand",
+     "class A { void F() { int n = len(1); } }",
+     "error 1:30-1:36: len() needs an array, list, or string\n"},
+    {"PushNotList",
+     "class A { void F() { int[] xs = new int[2]; push(xs, 1); } }",
+     "error 1:45-1:56: push() needs a list as first argument\n"},
+    {"PushElementMismatch",
+     "class A { void F() { list<int> xs = new list<int>(); push(xs, true); } }",
+     "error 1:54-1:68: push() element type mismatch: list of 'int', got "
+     "'bool'\n"},
+    {"WorkCost",
+     "class A { void F() { int w = work(1.5); } }",
+     "error 1:30-1:39: work() needs an int cost\n"},
+    {"SqrtOperand",
+     "class A { void F() { double s = sqrt(true); } }",
+     "error 1:33-1:43: sqrt() needs a numeric argument\n"},
+    {"AbsOperand",
+     "class A { void F() { abs(true); } }",
+     "error 1:22-1:31: abs() needs a numeric argument\n"},
+    {"MinMaxOperands",
+     "class A { void F() { int m = min(1, true); } }",
+     "error 1:30-1:42: min()/max() need numeric arguments\n"},
+    {"FloorOperand",
+     "class A { void F() { int f = floor(true); } }",
+     "error 1:30-1:41: floor() needs a numeric argument\n"},
+    {"ClampOperands",
+     "class A { void F() { int c = clamp(1, 2, 3.0); } }",
+     "error 1:30-1:46: clamp() needs int arguments\n"},
+};
+
+TEST(SemaTest, EveryRequireSiteReportsItsFullDiagnostic) {
+  ASSERT_EQ(std::size(kRequireSites), 43u);
+  for (const RequireSiteCase& c : kRequireSites) {
+    SCOPED_TRACE(c.name);
+    DiagnosticSink diags;
+    EXPECT_EQ(parse_and_check(c.source, diags), nullptr);
+    EXPECT_EQ(diags.to_string(), c.expected);
+  }
+}
+
 TEST(SemaTest, ExpressionTypesAnnotated) {
   auto p = check_ok("class A { double F(int x) { return x * 0.5; } }");
   const auto& ret = p->classes[0]->methods[0]->body->stmts[0]->as<Return>();
