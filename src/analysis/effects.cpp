@@ -1,7 +1,7 @@
 #include "analysis/effects.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 
 #include "support/diagnostics.hpp"
@@ -26,16 +26,17 @@ int kind_rank(AbsLoc::Kind k) {
   return 5;
 }
 
-/// Compare non-negative ints by their decimal spelling ("10" < "2"),
+/// Compare ints by their decimal spelling ("10" < "2", "-1" < "0"),
 /// matching how the legacy string keys ordered numeric components.
 int cmp_int_lex(int a, int b) {
+  if (a == b) return 0;
   char ba[16];
   char bb[16];
-  const int la = std::snprintf(ba, sizeof(ba), "%d", a);
-  const int lb = std::snprintf(bb, sizeof(bb), "%d", b);
+  const std::ptrdiff_t la = std::to_chars(ba, ba + sizeof(ba), a).ptr - ba;
+  const std::ptrdiff_t lb = std::to_chars(bb, bb + sizeof(bb), b).ptr - bb;
   const int c = std::memcmp(ba, bb, static_cast<std::size_t>(std::min(la, lb)));
   if (c != 0) return c;
-  return la - lb;
+  return la < lb ? -1 : 1;
 }
 
 int cmp_text(Symbol a, Symbol b) {

@@ -13,14 +13,19 @@ std::unique_ptr<SemanticModel> SemanticModel::build(
   model->effects_ =
       std::make_unique<EffectAnalysis>(program, model->call_graph_);
 
-  // Index statements and owning methods.
+  // Index statements and owning methods by node id, which is dense below
+  // next_node_id (`at` rejects any id outside it).
+  const auto node_ids = static_cast<std::size_t>(program.next_node_id);
+  model->stmt_by_id_.assign(node_ids, nullptr);
+  model->method_by_stmt_id_.assign(node_ids, nullptr);
   std::vector<const lang::MethodDecl*> methods;
   for (const auto& cls : program.classes) {
     for (const auto& m : cls->methods) {
       methods.push_back(m.get());
       lang::for_each_stmt(*m->body, [&](const lang::Stmt& st) {
-        model->stmt_by_id_[st.id] = &st;
-        model->method_by_stmt_id_[st.id] = m.get();
+        const auto id = static_cast<std::size_t>(st.id);
+        model->stmt_by_id_.at(id) = &st;
+        model->method_by_stmt_id_[id] = m.get();
       });
     }
   }
@@ -225,19 +230,18 @@ std::size_t SemanticModel::memory_footprint() const {
     bytes += edges->capacity() * sizeof(std::vector<int>);
     for (const std::vector<int>& e : *edges) bytes += e.capacity() * sizeof(int);
   }
-  bytes += loops_.capacity() * sizeof(LoopInfo) + hash_map_bytes(stmt_by_id_) +
-           hash_map_bytes(method_by_stmt_id_);
+  bytes += loops_.capacity() * sizeof(LoopInfo) +
+           stmt_by_id_.capacity() * sizeof(const lang::Stmt*) +
+           method_by_stmt_id_.capacity() * sizeof(const lang::MethodDecl*);
   return bytes;
 }
 
 const lang::Stmt* SemanticModel::stmt_by_id(int id) const {
-  auto it = stmt_by_id_.find(id);
-  return it == stmt_by_id_.end() ? nullptr : it->second;
+  return stmt_by_id_.at(static_cast<std::size_t>(id));
 }
 
 const lang::MethodDecl* SemanticModel::method_of(const lang::Stmt& st) const {
-  auto it = method_by_stmt_id_.find(st.id);
-  return it == method_by_stmt_id_.end() ? nullptr : it->second;
+  return method_by_stmt_id_.at(static_cast<std::size_t>(st.id));
 }
 
 }  // namespace patty::analysis

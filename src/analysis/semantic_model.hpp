@@ -72,7 +72,9 @@ class SemanticModel {
   /// Inclusive runtime share of a statement, 0 if no dynamic info.
   double runtime_share(const lang::Stmt& st) const;
 
-  /// Look up a statement by id anywhere in the program.
+  /// Look up a statement by id anywhere in the program (null for an
+  /// expression's id). Both lookups throw std::out_of_range for an id
+  /// outside the program the model was built from.
   const lang::Stmt* stmt_by_id(int id) const;
   /// The method whose body (transitively) contains the statement.
   const lang::MethodDecl* method_of(const lang::Stmt& st) const;
@@ -107,8 +109,9 @@ class SemanticModel {
   std::unique_ptr<EffectAnalysis> effects_;
   std::unique_ptr<Profiler> profiler_;
   std::vector<LoopInfo> loops_;
-  std::unordered_map<int, const lang::Stmt*> stmt_by_id_;
-  std::unordered_map<int, const lang::MethodDecl*> method_by_stmt_id_;
+  // Indexed by node id; null where the id is an expression's.
+  std::vector<const lang::Stmt*> stmt_by_id_;
+  std::vector<const lang::MethodDecl*> method_by_stmt_id_;
   mutable std::mutex cfg_mutex_;
   // Values are arena-placed; the ArenaPtr runs ~Cfg (inner vectors own
   // heap) while the arena keeps the bytes. Pointer values mean references

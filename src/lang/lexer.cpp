@@ -1,27 +1,45 @@
 #include "lang/lexer.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <unordered_map>
+#include <charconv>
 
 namespace patty::lang {
 
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind>& keyword_table() {
-  static const std::unordered_map<std::string_view, TokenKind> table = {
-      {"class", TokenKind::KwClass},     {"int", TokenKind::KwInt},
-      {"double", TokenKind::KwDouble},   {"bool", TokenKind::KwBool},
-      {"string", TokenKind::KwString},   {"void", TokenKind::KwVoid},
-      {"list", TokenKind::KwList},       {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},       {"while", TokenKind::KwWhile},
-      {"for", TokenKind::KwFor},         {"foreach", TokenKind::KwForeach},
-      {"in", TokenKind::KwIn},           {"return", TokenKind::KwReturn},
-      {"break", TokenKind::KwBreak},     {"continue", TokenKind::KwContinue},
-      {"new", TokenKind::KwNew},         {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},     {"null", TokenKind::KwNull},
+// ASCII classes, inline: <cctype>'s are calls that read the locale's table.
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_word_start(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+/// The keyword `word` spells, or Identifier. The first letter leaves at
+/// most three spellings to compare, so recognising a keyword hashes nothing.
+TokenKind keyword_kind(std::string_view word) {
+  using K = TokenKind;
+  using Keywords = std::initializer_list<std::pair<std::string_view, K>>;
+  const auto pick = [word](Keywords keywords) {
+    for (const auto& [text, kind] : keywords)
+      if (word == text) return kind;
+    return K::Identifier;
   };
-  return table;
+  switch (word[0]) {
+    case 'b': return pick({{"bool", K::KwBool}, {"break", K::KwBreak}});
+    case 'c': return pick({{"class", K::KwClass}, {"continue", K::KwContinue}});
+    case 'd': return pick({{"double", K::KwDouble}});
+    case 'e': return pick({{"else", K::KwElse}});
+    case 'f':
+      return pick(
+          {{"for", K::KwFor}, {"foreach", K::KwForeach}, {"false", K::KwFalse}});
+    case 'i': return pick({{"if", K::KwIf}, {"in", K::KwIn}, {"int", K::KwInt}});
+    case 'l': return pick({{"list", K::KwList}});
+    case 'n': return pick({{"new", K::KwNew}, {"null", K::KwNull}});
+    case 'r': return pick({{"return", K::KwReturn}});
+    case 's': return pick({{"string", K::KwString}});
+    case 't': return pick({{"true", K::KwTrue}});
+    case 'v': return pick({{"void", K::KwVoid}});
+    case 'w': return pick({{"while", K::KwWhile}});
+    default: return K::Identifier;
+  }
 }
 
 }  // namespace
@@ -137,21 +155,26 @@ void Lexer::skip_block_comment(SourcePos begin) {
 }
 
 Token Lexer::lex_number(SourcePos begin) {
-  std::string digits;
+  const std::size_t start = pos_;
   bool is_double = false;
-  while (std::isdigit(static_cast<unsigned char>(peek()))) digits += advance();
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+  while (is_digit(peek())) advance();
+  if (peek() == '.' && is_digit(peek(1))) {
     is_double = true;
-    digits += advance();
-    while (std::isdigit(static_cast<unsigned char>(peek()))) digits += advance();
+    advance();
+    while (is_digit(peek())) advance();
   }
   Token t = make(is_double ? TokenKind::DoubleLiteral : TokenKind::IntLiteral,
-                 begin, digits);
-  if (is_double) {
-    t.double_value = std::strtod(digits.c_str(), nullptr);
-  } else {
-    t.int_value = std::strtoll(digits.c_str(), nullptr, 10);
-  }
+                 begin);
+  // Convert the source slice in place; unlike strtoll, from_chars reports
+  // a literal that does not fit instead of saturating it.
+  const char* first = source_.data() + start;
+  const char* last = source_.data() + pos_;
+  const std::errc ec = is_double
+                           ? std::from_chars(first, last, t.double_value).ec
+                           : std::from_chars(first, last, t.int_value).ec;
+  if (ec != std::errc())
+    diags_.error(t.range,
+                 std::string(token_kind_name(t.kind)) + " out of range");
   return t;
 }
 
@@ -159,11 +182,11 @@ Token Lexer::lex_identifier(SourcePos begin) {
   // Slice the source instead of building the spelling char-by-char: the
   // identifier is source_[start, pos_) once we advance past its tail.
   const std::size_t start = pos_;
-  while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-    advance();
+  while (is_word_start(peek()) || is_digit(peek())) advance();
   const std::string_view name = source_.substr(start, pos_ - start);
-  auto it = keyword_table().find(name);
-  if (it != keyword_table().end()) return make(it->second, begin, std::string(name));
+  // Keywords carry no text: the parser reads only their kind.
+  const TokenKind keyword = keyword_kind(name);
+  if (keyword != TokenKind::Identifier) return make(keyword, begin);
   // Intern identifiers once during lexing; every later name lookup (parser,
   // sema, effects, detector) compares 32-bit symbol ids instead of strings.
   const support::Symbol sym = support::Symbol::intern(name);
@@ -212,7 +235,9 @@ Token Lexer::lex_annotation(SourcePos begin) {
 }
 
 std::vector<Token> Lexer::tokenize() {
+  // Sized once: real programs spend two or more source bytes per token.
   std::vector<Token> tokens;
+  tokens.reserve(source_.size() / 2 + 1);
   while (!at_end()) {
     const SourcePos begin = here();
     const char c = peek();
@@ -230,11 +255,11 @@ std::vector<Token> Lexer::tokenize() {
       skip_block_comment(begin);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (is_digit(c)) {
       tokens.push_back(lex_number(begin));
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (is_word_start(c)) {
       tokens.push_back(lex_identifier(begin));
       continue;
     }

@@ -33,10 +33,6 @@ const std::unordered_map<Symbol, Builtin, SymbolHash>& builtin_table() {
 
 }  // namespace
 
-void Sema::require(bool ok, SourceRange range, const std::string& message) {
-  if (!ok) diags_.error(range, message);
-}
-
 bool Sema::class_exists(const Type& t) {
   switch (t.kind) {
     case Type::Kind::Class: return program_->find_class(t.class_name) != nullptr;
@@ -65,10 +61,10 @@ bool Sema::analyze(Program& program) {
       f.index = static_cast<int>(i);
       if (!member_names.insert(f.name).second)
         diags_.error(f.range, "duplicate field '" + f.name + "'");
-      require(class_exists(*f.type), f.range,
-              "unknown type '" + f.type->str() + "'");
-      require(f.type->kind != Type::Kind::Void, f.range,
-              "field cannot have type void");
+      if (!class_exists(*f.type))
+        diags_.error(f.range, "unknown type '" + f.type->str() + "'");
+      if (f.type->kind == Type::Kind::Void)
+        diags_.error(f.range, "field cannot have type void");
     }
     for (auto& m : cls->methods) {
       if (!member_names.insert(m->name).second)
@@ -96,11 +92,12 @@ bool Sema::analyze_method(MethodDecl& method) {
   loop_depth_ = 0;
   push_scope();
 
-  require(class_exists(*method.return_type), method.range,
-          "unknown return type '" + method.return_type->str() + "'");
+  if (!class_exists(*method.return_type))
+    diags_.error(method.range,
+                 "unknown return type '" + method.return_type->str() + "'");
   for (Param& p : method.params) {
-    require(class_exists(*p.type), p.range,
-            "unknown parameter type '" + p.type->str() + "'");
+    if (!class_exists(*p.type))
+      diags_.error(p.range, "unknown parameter type '" + p.type->str() + "'");
     p.slot = declare_local(p.name, p.range);
     if (p.slot >= 0) slot_types_[static_cast<std::size_t>(p.slot)] = p.type;
   }
@@ -152,18 +149,17 @@ void Sema::analyze_stmt(Stmt& st) {
     }
     case StmtKind::VarDecl: {
       auto& d = st.as<VarDecl>();
-      require(class_exists(*d.declared), st.range,
-              "unknown type '" + d.declared->str() + "'");
-      require(d.declared->kind != Type::Kind::Void, st.range,
-              "variable cannot have type void");
+      if (!class_exists(*d.declared))
+        diags_.error(st.range, "unknown type '" + d.declared->str() + "'");
+      if (d.declared->kind == Type::Kind::Void)
+        diags_.error(st.range, "variable cannot have type void");
       TypePtr init_type;
       if (d.init) init_type = analyze_expr(*d.init);
       d.slot = declare_local(d.name, st.range);
       if (d.slot >= 0) slot_types_[static_cast<std::size_t>(d.slot)] = d.declared;
-      if (d.init && init_type) {
-        require(assignable(*d.declared, *init_type), st.range,
-                "cannot initialize '" + d.declared->str() + "' from '" +
-                    init_type->str() + "'");
+      if (d.init && init_type && !assignable(*d.declared, *init_type)) {
+        diags_.error(st.range, "cannot initialize '" + d.declared->str() +
+                                   "' from '" + init_type->str() + "'");
       }
       break;
     }
@@ -172,10 +168,9 @@ void Sema::analyze_stmt(Stmt& st) {
       TypePtr target_type = analyze_expr(*a.target);
       check_assignable_expr(*a.target);
       TypePtr value_type = analyze_expr(*a.value);
-      if (target_type && value_type) {
-        require(assignable(*target_type, *value_type), st.range,
-                "cannot assign '" + value_type->str() + "' to '" +
-                    target_type->str() + "'");
+      if (target_type && value_type && !assignable(*target_type, *value_type)) {
+        diags_.error(st.range, "cannot assign '" + value_type->str() +
+                                   "' to '" + target_type->str() + "'");
       }
       break;
     }
@@ -185,8 +180,9 @@ void Sema::analyze_stmt(Stmt& st) {
     case StmtKind::If: {
       auto& i = st.as<If>();
       TypePtr cond = analyze_expr(*i.cond);
-      require(cond->kind == Type::Kind::Bool, i.cond->range,
-              "if condition must be bool, got '" + cond->str() + "'");
+      if (cond->kind != Type::Kind::Bool)
+        diags_.error(i.cond->range,
+                     "if condition must be bool, got '" + cond->str() + "'");
       analyze_stmt(*i.then_branch);
       if (i.else_branch) analyze_stmt(*i.else_branch);
       break;
@@ -194,8 +190,9 @@ void Sema::analyze_stmt(Stmt& st) {
     case StmtKind::While: {
       auto& w = st.as<While>();
       TypePtr cond = analyze_expr(*w.cond);
-      require(cond->kind == Type::Kind::Bool, w.cond->range,
-              "while condition must be bool, got '" + cond->str() + "'");
+      if (cond->kind != Type::Kind::Bool)
+        diags_.error(w.cond->range,
+                     "while condition must be bool, got '" + cond->str() + "'");
       ++loop_depth_;
       analyze_stmt(*w.body);
       --loop_depth_;
@@ -207,8 +204,9 @@ void Sema::analyze_stmt(Stmt& st) {
       if (f.init) analyze_stmt(*f.init);
       if (f.cond) {
         TypePtr cond = analyze_expr(*f.cond);
-        require(cond->kind == Type::Kind::Bool, f.cond->range,
-                "for condition must be bool, got '" + cond->str() + "'");
+        if (cond->kind != Type::Kind::Bool)
+          diags_.error(f.cond->range,
+                       "for condition must be bool, got '" + cond->str() + "'");
       }
       if (f.step) analyze_stmt(*f.step);
       ++loop_depth_;
@@ -228,11 +226,14 @@ void Sema::analyze_stmt(Stmt& st) {
                      "foreach needs an array or list, got '" + iter->str() + "'");
         elem = Type::int_t();
       }
-      require(class_exists(*f.element_declared), st.range,
-              "unknown type '" + f.element_declared->str() + "'");
-      require(assignable(*f.element_declared, *elem), st.range,
-              "loop variable type '" + f.element_declared->str() +
-                  "' does not match element type '" + elem->str() + "'");
+      if (!class_exists(*f.element_declared))
+        diags_.error(st.range,
+                     "unknown type '" + f.element_declared->str() + "'");
+      if (!assignable(*f.element_declared, *elem))
+        diags_.error(st.range, "loop variable type '" +
+                                   f.element_declared->str() +
+                                   "' does not match element type '" +
+                                   elem->str() + "'");
       push_scope();
       f.slot = declare_local(f.var_name, st.range);
       if (f.slot >= 0)
@@ -248,24 +249,24 @@ void Sema::analyze_stmt(Stmt& st) {
       const TypePtr& want = current_method_->return_type;
       if (r.value) {
         TypePtr got = analyze_expr(*r.value);
-        require(want->kind != Type::Kind::Void, st.range,
-                "void method cannot return a value");
-        if (want->kind != Type::Kind::Void) {
-          require(assignable(*want, *got), st.range,
-                  "cannot return '" + got->str() + "' from method returning '" +
-                      want->str() + "'");
+        if (want->kind == Type::Kind::Void) {
+          diags_.error(st.range, "void method cannot return a value");
+        } else if (!assignable(*want, *got)) {
+          diags_.error(st.range, "cannot return '" + got->str() +
+                                     "' from method returning '" +
+                                     want->str() + "'");
         }
-      } else {
-        require(want->kind == Type::Kind::Void, st.range,
-                "non-void method must return a value");
+      } else if (want->kind != Type::Kind::Void) {
+        diags_.error(st.range, "non-void method must return a value");
       }
       break;
     }
     case StmtKind::Break:
-      require(loop_depth_ > 0, st.range, "break outside of a loop");
+      if (loop_depth_ == 0) diags_.error(st.range, "break outside of a loop");
       break;
     case StmtKind::Continue:
-      require(loop_depth_ > 0, st.range, "continue outside of a loop");
+      if (loop_depth_ == 0)
+        diags_.error(st.range, "continue outside of a loop");
       break;
     case StmtKind::Annotation:
       break;  // annotations are semantically transparent
@@ -340,8 +341,9 @@ TypePtr Sema::analyze_expr(Expr& e) {
       auto& ix = e.as<IndexAccess>();
       TypePtr base = analyze_expr(*ix.base);
       TypePtr index = analyze_expr(*ix.index);
-      require(index->kind == Type::Kind::Int, ix.index->range,
-              "index must be int, got '" + index->str() + "'");
+      if (index->kind != Type::Kind::Int)
+        diags_.error(ix.index->range,
+                     "index must be int, got '" + index->str() + "'");
       if (base->kind == Type::Kind::Array || base->kind == Type::Kind::List) {
         result = base->element;
       } else {
@@ -365,33 +367,34 @@ TypePtr Sema::analyze_expr(Expr& e) {
       for (auto& a : n.args) analyze_expr(*a);
       const MethodDecl* ctor = cls->ctor;
       if (ctor) {
-        require(n.args.size() == ctor->params.size(), e.range,
-                "constructor of '" + cls->name + "' takes " +
-                    std::to_string(ctor->params.size()) + " argument(s), got " +
-                    std::to_string(n.args.size()));
+        if (n.args.size() != ctor->params.size())
+          diags_.error(e.range, "constructor of '" + cls->name + "' takes " +
+                                    std::to_string(ctor->params.size()) +
+                                    " argument(s), got " +
+                                    std::to_string(n.args.size()));
         for (std::size_t i = 0;
              i < std::min(n.args.size(), ctor->params.size()); ++i) {
-          require(assignable(*ctor->params[i].type, *n.args[i]->type),
-                  n.args[i]->range,
-                  "constructor argument " + std::to_string(i + 1) +
-                      ": cannot pass '" + n.args[i]->type->str() + "' as '" +
-                      ctor->params[i].type->str() + "'");
+          if (!assignable(*ctor->params[i].type, *n.args[i]->type))
+            diags_.error(n.args[i]->range,
+                         "constructor argument " + std::to_string(i + 1) +
+                             ": cannot pass '" + n.args[i]->type->str() +
+                             "' as '" + ctor->params[i].type->str() + "'");
         }
-      } else {
-        require(n.args.empty(), e.range,
-                "class '" + cls->name + "' has no 'init' constructor");
+      } else if (!n.args.empty()) {
+        diags_.error(e.range,
+                     "class '" + cls->name + "' has no 'init' constructor");
       }
       result = Type::class_t(n.class_name);
       break;
     }
     case ExprKind::NewArray: {
       auto& n = e.as<NewArray>();
-      require(class_exists(*n.allocated), e.range,
-              "unknown type '" + n.allocated->str() + "'");
+      if (!class_exists(*n.allocated))
+        diags_.error(e.range, "unknown type '" + n.allocated->str() + "'");
       if (n.size) {
         TypePtr sz = analyze_expr(*n.size);
-        require(sz->kind == Type::Kind::Int, n.size->range,
-                "array size must be int");
+        if (sz->kind != Type::Kind::Int)
+          diags_.error(n.size->range, "array size must be int");
       }
       result = n.allocated;
       break;
@@ -403,12 +406,12 @@ TypePtr Sema::analyze_expr(Expr& e) {
       auto& u = e.as<Unary>();
       TypePtr operand = analyze_expr(*u.operand);
       if (u.op == UnaryOp::Neg) {
-        require(operand->is_numeric(), e.range,
-                "unary '-' needs a numeric operand");
+        if (!operand->is_numeric())
+          diags_.error(e.range, "unary '-' needs a numeric operand");
         result = operand;
       } else {
-        require(operand->kind == Type::Kind::Bool, e.range,
-                "unary '!' needs a bool operand");
+        if (operand->kind != Type::Kind::Bool)
+          diags_.error(e.range, "unary '!' needs a bool operand");
         result = Type::bool_t();
       }
       break;
@@ -432,39 +435,38 @@ TypePtr Sema::analyze_binary(Binary& b) {
     case BinaryOp::Sub:
     case BinaryOp::Mul:
     case BinaryOp::Div:
-      require(lhs->is_numeric() && rhs->is_numeric(), b.range,
-              std::string("operator '") + binary_op_str(b.op) +
-                  "' needs numeric operands, got '" + lhs->str() + "' and '" +
-                  rhs->str() + "'");
+      if (!lhs->is_numeric() || !rhs->is_numeric())
+        diags_.error(b.range, std::string("operator '") + binary_op_str(b.op) +
+                                  "' needs numeric operands, got '" +
+                                  lhs->str() + "' and '" + rhs->str() + "'");
       if (lhs->kind == Type::Kind::Double || rhs->kind == Type::Kind::Double)
         return Type::double_t();
       return Type::int_t();
     case BinaryOp::Mod:
-      require(lhs->kind == Type::Kind::Int && rhs->kind == Type::Kind::Int,
-              b.range, "operator '%' needs int operands");
+      if (lhs->kind != Type::Kind::Int || rhs->kind != Type::Kind::Int)
+        diags_.error(b.range, "operator '%' needs int operands");
       return Type::int_t();
     case BinaryOp::Lt:
     case BinaryOp::Le:
     case BinaryOp::Gt:
     case BinaryOp::Ge:
-      require((lhs->is_numeric() && rhs->is_numeric()) ||
-                  (lhs->kind == Type::Kind::String &&
-                   rhs->kind == Type::Kind::String),
-              b.range, "relational operator needs numeric or string operands");
+      if (!(lhs->is_numeric() && rhs->is_numeric()) &&
+          !(lhs->kind == Type::Kind::String && rhs->kind == Type::Kind::String))
+        diags_.error(b.range,
+                     "relational operator needs numeric or string operands");
       return Type::bool_t();
     case BinaryOp::Eq:
     case BinaryOp::Ne:
-      require((lhs->is_numeric() && rhs->is_numeric()) ||
-                  same_type(*lhs, *rhs) ||
-                  (lhs->is_reference() && rhs->kind == Type::Kind::Null) ||
-                  (rhs->is_reference() && lhs->kind == Type::Kind::Null),
-              b.range, "cannot compare '" + lhs->str() + "' with '" +
-                           rhs->str() + "'");
+      if (!(lhs->is_numeric() && rhs->is_numeric()) && !same_type(*lhs, *rhs) &&
+          !(lhs->is_reference() && rhs->kind == Type::Kind::Null) &&
+          !(rhs->is_reference() && lhs->kind == Type::Kind::Null))
+        diags_.error(b.range, "cannot compare '" + lhs->str() + "' with '" +
+                                  rhs->str() + "'");
       return Type::bool_t();
     case BinaryOp::And:
     case BinaryOp::Or:
-      require(lhs->kind == Type::Kind::Bool && rhs->kind == Type::Kind::Bool,
-              b.range, "logical operator needs bool operands");
+      if (lhs->kind != Type::Kind::Bool || rhs->kind != Type::Kind::Bool)
+        diags_.error(b.range, "logical operator needs bool operands");
       return Type::bool_t();
   }
   return Type::int_t();
@@ -510,27 +512,33 @@ TypePtr Sema::analyze_call(Call& call) {
   }
 
   const MethodDecl* m = call.resolved;
-  require(call.args.size() == m->params.size(), call.range,
-          "method '" + m->name + "' takes " +
-              std::to_string(m->params.size()) + " argument(s), got " +
-              std::to_string(call.args.size()));
+  if (call.args.size() != m->params.size())
+    diags_.error(call.range, "method '" + m->name + "' takes " +
+                                 std::to_string(m->params.size()) +
+                                 " argument(s), got " +
+                                 std::to_string(call.args.size()));
   for (std::size_t i = 0; i < std::min(call.args.size(), m->params.size());
        ++i) {
-    require(assignable(*m->params[i].type, *call.args[i]->type),
-            call.args[i]->range,
-            "argument " + std::to_string(i + 1) + " of '" + m->name +
-                "': cannot pass '" + call.args[i]->type->str() + "' as '" +
-                m->params[i].type->str() + "'");
+    if (!assignable(*m->params[i].type, *call.args[i]->type))
+      diags_.error(call.args[i]->range,
+                   "argument " + std::to_string(i + 1) + " of '" + m->name +
+                       "': cannot pass '" + call.args[i]->type->str() +
+                       "' as '" + m->params[i].type->str() + "'");
   }
   return m->return_type;
 }
 
 TypePtr Sema::analyze_builtin(Call& call) {
   auto arity = [&](std::size_t n) {
-    require(call.args.size() == n, call.range,
-            "builtin '" + call.name + "' takes " + std::to_string(n) +
-                " argument(s), got " + std::to_string(call.args.size()));
-    return call.args.size() == n;
+    if (call.args.size() == n) return true;
+    diags_.error(call.range, "builtin '" + call.name + "' takes " +
+                                 std::to_string(n) + " argument(s), got " +
+                                 std::to_string(call.args.size()));
+    return false;
+  };
+  // Reports `message` unless `ok`; the builtin checks' messages are fixed.
+  auto require = [&](bool ok, const char* message) {
+    if (!ok) diags_.error(call.range, message);
   };
   auto arg_type = [&](std::size_t i) -> const Type& {
     return *call.args[i]->type;
@@ -544,37 +552,36 @@ TypePtr Sema::analyze_builtin(Call& call) {
         const Type& t = arg_type(0);
         require(t.kind == Type::Kind::Array || t.kind == Type::Kind::List ||
                     t.kind == Type::Kind::String,
-                call.range, "len() needs an array, list, or string");
+                "len() needs an array, list, or string");
       }
       return Type::int_t();
     case Builtin::Push:
       if (arity(2)) {
         const Type& t = arg_type(0);
-        require(t.kind == Type::Kind::List, call.range,
+        require(t.kind == Type::Kind::List,
                 "push() needs a list as first argument");
-        if (t.kind == Type::Kind::List) {
-          require(assignable(*t.element, arg_type(1)), call.range,
-                  "push() element type mismatch: list of '" +
-                      t.element->str() + "', got '" + arg_type(1).str() + "'");
+        if (t.kind == Type::Kind::List &&
+            !assignable(*t.element, arg_type(1))) {
+          diags_.error(call.range, "push() element type mismatch: list of '" +
+                                       t.element->str() + "', got '" +
+                                       arg_type(1).str() + "'");
         }
       }
       return Type::void_t();
     case Builtin::Work:
       if (arity(1)) {
-        require(arg_type(0).kind == Type::Kind::Int, call.range,
+        require(arg_type(0).kind == Type::Kind::Int,
                 "work() needs an int cost");
       }
       return Type::int_t();
     case Builtin::Sqrt:
       if (arity(1)) {
-        require(arg_type(0).is_numeric(), call.range,
-                "sqrt() needs a numeric argument");
+        require(arg_type(0).is_numeric(), "sqrt() needs a numeric argument");
       }
       return Type::double_t();
     case Builtin::Abs:
       if (arity(1)) {
-        require(arg_type(0).is_numeric(), call.range,
-                "abs() needs a numeric argument");
+        require(arg_type(0).is_numeric(), "abs() needs a numeric argument");
         return call.args[0]->type;
       }
       return Type::int_t();
@@ -582,7 +589,7 @@ TypePtr Sema::analyze_builtin(Call& call) {
     case Builtin::MaxOf:
       if (arity(2)) {
         require(arg_type(0).is_numeric() && arg_type(1).is_numeric(),
-                call.range, "min()/max() need numeric arguments");
+                "min()/max() need numeric arguments");
         if (arg_type(0).kind == Type::Kind::Double ||
             arg_type(1).kind == Type::Kind::Double)
           return Type::double_t();
@@ -590,8 +597,7 @@ TypePtr Sema::analyze_builtin(Call& call) {
       return Type::int_t();
     case Builtin::Floor:
       if (arity(1)) {
-        require(arg_type(0).is_numeric(), call.range,
-                "floor() needs a numeric argument");
+        require(arg_type(0).is_numeric(), "floor() needs a numeric argument");
       }
       return Type::int_t();
     case Builtin::ToStr:
@@ -600,7 +606,7 @@ TypePtr Sema::analyze_builtin(Call& call) {
     case Builtin::Clamp:
       if (arity(3)) {
         for (std::size_t i = 0; i < 3; ++i)
-          require(arg_type(i).kind == Type::Kind::Int, call.range,
+          require(arg_type(i).kind == Type::Kind::Int,
                   "clamp() needs int arguments");
       }
       return Type::int_t();

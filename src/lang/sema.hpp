@@ -29,7 +29,6 @@ class Sema {
   TypePtr analyze_builtin(Call& call);
   TypePtr analyze_binary(Binary& b);
   void check_assignable_expr(const Expr& target);
-  void require(bool ok, SourceRange range, const std::string& message);
   bool class_exists(const Type& t);
 
   int declare_local(Symbol name, SourceRange range);

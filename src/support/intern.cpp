@@ -16,18 +16,18 @@ Interner::Interner() {
   auto* block = new std::string[kBlockSize];
   shard.blocks[0].store(block, std::memory_order_release);
   shard.count = 1;
-  shard.map.emplace(std::string_view(block[0]), 0u);
 }
 
 Symbol Interner::intern(std::string_view text) {
   if (text.empty()) return Symbol(0);
-  const std::size_t h = std::hash<std::string_view>{}(text);
+  // The one hash of `text`: it picks the shard, and the shard's map reuses it.
+  const Key key{text, std::hash<std::string_view>{}(text)};
   const auto shard_index =
-      static_cast<std::uint32_t>(h & (kShards - 1));
+      static_cast<std::uint32_t>(key.hash & (kShards - 1));
   Shard& shard = shards_[shard_index];
 
   std::scoped_lock lock(shard.mutex);
-  auto it = shard.map.find(text);
+  auto it = shard.map.find(key);
   if (it != shard.map.end()) return Symbol(it->second);
 
   const std::uint32_t slot = shard.count;
@@ -44,7 +44,7 @@ Symbol Interner::intern(std::string_view text) {
   shard.bytes.fetch_add(text.size(), std::memory_order_relaxed);
 
   const std::uint32_t id = (slot << kShardBits) | shard_index;
-  shard.map.emplace(std::string_view(stored), id);
+  shard.map.emplace(Key{stored, key.hash}, id);
   return Symbol(id);
 }
 

@@ -122,10 +122,20 @@ class Interner {
   static constexpr std::uint32_t kBlockSize = 1024;
   static constexpr std::uint32_t kMaxBlocks = 4096;  // 4M symbols per shard
 
+  // A spelling with its precomputed hash, so a lookup hashes the text once.
+  struct Key {
+    std::string_view text;
+    std::size_t hash;
+    bool operator==(const Key& other) const { return text == other.text; }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept { return k.hash; }
+  };
+
   struct Shard {
     mutable std::mutex mutex;
     // Keys view into the block storage below; entries are never removed.
-    std::unordered_map<std::string_view, std::uint32_t> map;
+    std::unordered_map<Key, std::uint32_t, KeyHash> map;
     // Append-only storage. Blocks are allocated under the mutex and
     // published with a release store so id->string lookup never locks.
     std::array<std::atomic<std::string*>, kMaxBlocks> blocks{};

@@ -252,12 +252,16 @@ TEST(EffectsTest, EqualityAgreesWithThreeWayComparisonOverAllKinds) {
   // can never drift apart when AbsLoc grows fields, and this test keeps any
   // future hand-rolled operator== honest. The battery covers every kind and
   // the order-sensitive corners: slots whose decimal spellings sort unlike
-  // their values (2 vs 10), class names where one is a prefix of another
-  // (the ':' sentinel in the Field key), and shared vs. distinct type sigs.
+  // their values (2 vs 10, 9 vs 10, 99 vs 100 vs 1000), spellings where one
+  // is a prefix of the other (12 vs 120, 1 vs 10 vs 100), the default -1
+  // (its '-' sorts before every digit), class names where one is a prefix
+  // of another (the ':' sentinel in the Field key), and shared vs. distinct
+  // type sigs.
+  const std::vector<int> numbers = {-1, 0, 1, 2, 9, 10, 12, 99, 100, 120, 1000};
   std::vector<AbsLoc> locs;
-  for (int slot : {0, 1, 2, 10}) locs.push_back(AbsLoc::local(slot));
+  for (int slot : numbers) locs.push_back(AbsLoc::local(slot));
   for (const char* cls : {"A", "AB", "Counter"})
-    for (int field : {0, 1, 10}) locs.push_back(AbsLoc::field_loc(cls, field));
+    for (int field : numbers) locs.push_back(AbsLoc::field_loc(cls, field));
   for (const char* sig : {"int[]", "list<int>", "list<list<int>>"}) {
     locs.push_back(AbsLoc::elements(sig));
     locs.push_back(AbsLoc::list_shape(sig));

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "lang/lexer.hpp"
 
 namespace patty::lang {
@@ -47,6 +49,40 @@ TEST(LexerTest, IntAndDoubleLiterals) {
   EXPECT_DOUBLE_EQ(tokens[1].double_value, 3.5);
   EXPECT_EQ(tokens[2].int_value, 0);
   EXPECT_EQ(tokens[3].int_value, 1234567890);
+}
+
+TEST(LexerTest, IntegerLiteralOutOfRangeIsAnError) {
+  auto max = lex_ok("9223372036854775807");
+  ASSERT_EQ(max.size(), 2u);
+  EXPECT_EQ(max[0].int_value, INT64_MAX);
+
+  DiagnosticSink diags;
+  Lexer lexer("x = 99999999999999999999;", diags);
+  const auto tokens = lexer.tokenize();
+  ASSERT_EQ(diags.all().size(), 1u);
+  EXPECT_EQ(diags.to_string(), "error 1:5-1:25: integer literal out of range\n");
+  ASSERT_EQ(tokens.size(), 5u);
+  EXPECT_EQ(tokens[2].kind, TokenKind::IntLiteral);
+
+  // A double only overflows past 308 digits, but it is reported alike.
+  DiagnosticSink double_diags;
+  const std::string huge = std::string(400, '9') + ".5";
+  Lexer(huge, double_diags).tokenize();
+  EXPECT_EQ(double_diags.to_string(),
+            "error 1:1-1:403: double literal out of range\n");
+}
+
+TEST(LexerTest, KeywordPrefixesAreIdentifiers) {
+  // Words that start like a keyword, extend one, or are one letter short of
+  // one stay identifiers, with their spelling in `text` and `symbol`.
+  for (const char* word : {"inx", "into", "forex", "foreachx", "newer", "nul",
+                           "classy", "iff", "doubles", "voids", "lists"}) {
+    auto tokens = lex_ok(word);
+    ASSERT_EQ(tokens.size(), 2u) << word;
+    EXPECT_EQ(tokens[0].kind, TokenKind::Identifier) << word;
+    EXPECT_EQ(tokens[0].text, word);
+    EXPECT_EQ(tokens[0].symbol, support::Symbol::intern(word));
+  }
 }
 
 TEST(LexerTest, DotAfterIntIsMemberAccessNotDouble) {
