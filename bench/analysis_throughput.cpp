@@ -2,8 +2,8 @@
 // evaluated end-to-end (parse -> semantic model incl. dynamic analysis ->
 // pattern detection -> scoring) by the sequential front-end and by the
 // parallel front-end running on Patty's own runtime (one parallel_for of
-// whole-program tasks, with parallel_for loop matching + master/worker
-// region scan nested inside), on the shared work-stealing pool.
+// whole-program tasks on the shared work-stealing pool, each task running
+// its program's phases in order).
 //
 // Everything runs on the host's real cores (the JSON records cpu_cores).
 // The study section times kPairs alternated sequential/parallel pairs (the

@@ -138,7 +138,6 @@ ShedResult run_shed(int burst) {
   options.socket_path = socket_path() + ".shed";
   options.workers = 1;
   options.queue_limit = 4;
-  options.degrade_depth = 64;
   Server server(options);
   server.start();
 

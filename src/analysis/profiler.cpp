@@ -534,9 +534,9 @@ void Profiler::on_return(const lang::MethodDecl& callee) {
 }
 
 void Profiler::finalize() const {
-  // Double-checked: concurrent detector threads hit the lock-free acquire
-  // load once the fold has happened; the first caller folds under the
-  // trace mutex. (Callers must not still be tracing — see the class
+  // Double-checked: concurrent readers of a shared model hit the lock-free
+  // acquire load once the fold has happened; the first caller folds under
+  // the trace mutex. (Callers must not still be tracing — see the class
   // contract — but concurrent *queries* are fine.)
   if (!dirty_.load(std::memory_order_acquire)) return;
   std::scoped_lock lock(trace_mutex_);

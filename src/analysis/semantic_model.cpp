@@ -1,6 +1,5 @@
 #include "analysis/semantic_model.hpp"
 
-#include "runtime/parallel_for.hpp"
 #include "support/diagnostics.hpp"
 
 namespace patty::analysis {
@@ -18,10 +17,8 @@ std::unique_ptr<SemanticModel> SemanticModel::build(
   const auto node_ids = static_cast<std::size_t>(program.next_node_id);
   model->stmt_by_id_.assign(node_ids, nullptr);
   model->method_by_stmt_id_.assign(node_ids, nullptr);
-  std::vector<const lang::MethodDecl*> methods;
   for (const auto& cls : program.classes) {
     for (const auto& m : cls->methods) {
-      methods.push_back(m.get());
       lang::for_each_stmt(*m->body, [&](const lang::Stmt& st) {
         const auto id = static_cast<std::size_t>(st.id);
         model->stmt_by_id_.at(id) = &st;
@@ -31,32 +28,13 @@ std::unique_ptr<SemanticModel> SemanticModel::build(
   }
   model->collect_loops();
 
-  if (options.parallel && methods.size() > 1) {
-    // Self-hosted front-end: prebuild every method CFG on the runtime's
-    // own pool. Each build_cfg is independent (pure function of one
-    // method); results land in index-stable slots, then move into the
-    // cache — so the model is bit-identical to a sequential build.
-    std::vector<Cfg> cfgs(methods.size());
-    rt::parallel_for(0, static_cast<std::int64_t>(methods.size()),
-                     [&](std::int64_t i) {
-                       cfgs[static_cast<std::size_t>(i)] =
-                           build_cfg(*methods[static_cast<std::size_t>(i)]);
-                     });
-    // Build happened on worker threads; placing the results in the model's
-    // arena here is single-threaded (build() owns the model exclusively).
-    for (std::size_t i = 0; i < methods.size(); ++i)
-      model->cfg_cache_.emplace(
-          methods[i],
-          support::make_in<Cfg>(model->arena_, std::move(cfgs[i])));
-  }
-
   if (options.run_dynamic) {
     model->profiler_ = std::make_unique<Profiler>(program);
     Interpreter interp(program, model->profiler_.get());
     interp.run_main();  // throws RuntimeError on failure
     // Fold observed dependences now, while the model is still exclusively
-    // ours: later (possibly concurrent) detector queries then take the
-    // lock-free finalized fast path.
+    // ours: later queries (concurrent ones from daemon workers sharing a
+    // cached model too) then take the lock-free finalized fast path.
     model->profiler_->loops();
   }
   return model;
@@ -112,7 +90,8 @@ void SemanticModel::collect_loops() {
 
 const Cfg& SemanticModel::cfg(const lang::MethodDecl& method) const {
   // References stay stable (node-based map); the mutex only guards the
-  // lookup/insert so concurrent detector threads can demand-build safely.
+  // lookup/insert so threads sharing one model (the daemon's request
+  // workers share cached models) can demand-build safely.
   {
     std::scoped_lock lock(cfg_mutex_);
     auto it = cfg_cache_.find(&method);

@@ -29,10 +29,6 @@ struct LoopInfo {
 struct SemanticModelOptions {
   /// Execute the program's main() under the profiler (dynamic half).
   bool run_dynamic = true;
-  /// Fan static construction out on the shared runtime pool: per-method
-  /// CFGs are prebuilt via parallel_for (self-hosted front-end). The
-  /// resulting model is identical to a sequential build.
-  bool parallel = false;
 };
 
 class SemanticModel {

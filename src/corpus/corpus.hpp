@@ -122,11 +122,11 @@ struct FrontendConfig {
   /// Run the corpus as one rt::parallel_for over program indices on the
   /// shared work-stealing pool: each iteration is a whole-program task
   /// (parse -> semantic model -> detect -> score, then the inspect and
-  /// adopt hooks) writing its own report slot, with parallel model
-  /// construction and per-loop matching nested inside. False runs the
-  /// identical per-program function inline on the calling thread, so the
-  /// two modes produce byte-identical reports (the determinism suite
-  /// asserts this).
+  /// adopt hooks) writing its own report slot. This is the front-end's
+  /// only level of parallelism: inside a task the phases run sequentially.
+  /// False runs the identical per-program function inline on the calling
+  /// thread, so the two modes produce byte-identical reports (the
+  /// determinism suite asserts this).
   bool parallel = false;
   /// Detection mode (the paper's optimistic default vs static baseline).
   bool optimistic = true;

@@ -49,12 +49,10 @@ bool stop_requested(ProgramTask& item) {
   return !item.error.empty();
 }
 
-void stage_model(ProgramTask& item, const FrontendConfig& config) {
+void stage_model(ProgramTask& item) {
   if (stop_requested(item)) return;
-  analysis::SemanticModelOptions options;
-  options.parallel = config.parallel;
   try {
-    item.model = analysis::SemanticModel::build(*item.parsed, options);
+    item.model = analysis::SemanticModel::build(*item.parsed);
   } catch (const analysis::RuntimeError& e) {
     item.error = item.program->name + ": " + e.message;
   }
@@ -64,7 +62,6 @@ void stage_detect(ProgramTask& item, const FrontendConfig& config) {
   if (stop_requested(item)) return;
   patterns::DetectionOptions options;
   options.optimistic = config.optimistic;
-  options.parallel = config.parallel;
   item.detection = patterns::detect_all(*item.model, options);
 }
 
@@ -128,7 +125,7 @@ ProgramReport evaluate_program(const CorpusProgram& program,
   item.index = index;
   item.program = &program;
   stage_parse(item);
-  stage_model(item, config);
+  stage_model(item);
   stage_detect(item, config);
   return report_for(item, config);
 }
@@ -142,7 +139,7 @@ DetectionScore score_program(const CorpusProgram& program, bool optimistic,
   FrontendConfig config;  // sequential defaults
   config.optimistic = optimistic;
   stage_parse(item);
-  stage_model(item, config);
+  stage_model(item);
   stage_detect(item, config);
   if (!item.error.empty()) {
     if (error) *error = item.error;
@@ -176,8 +173,8 @@ CorpusReport evaluate_corpus(
     // its own index-addressed slot, so the corpus is a data-parallel loop.
     // One whole-program task per index on the shared work-stealing pool,
     // so every phase (certification in the inspect tap included) runs
-    // concurrently. Nested loops in the model build and detect_all join
-    // helpingly on the same pool.
+    // concurrently; within a program the phases run in order, on one
+    // thread.
     rt::ParallelForTuning tuning;
     tuning.grain = 1;
     rt::parallel_for(

@@ -184,14 +184,14 @@ Token Lexer::lex_identifier(SourcePos begin) {
   const std::size_t start = pos_;
   while (is_word_start(peek()) || is_digit(peek())) advance();
   const std::string_view name = source_.substr(start, pos_ - start);
-  // Keywords carry no text: the parser reads only their kind.
+  // Neither keywords nor identifiers carry text: the parser reads a
+  // keyword's kind and an identifier's symbol.
   const TokenKind keyword = keyword_kind(name);
   if (keyword != TokenKind::Identifier) return make(keyword, begin);
   // Intern identifiers once during lexing; every later name lookup (parser,
   // sema, effects, detector) compares 32-bit symbol ids instead of strings.
-  const support::Symbol sym = support::Symbol::intern(name);
-  Token t = make(TokenKind::Identifier, begin, sym.str());
-  t.symbol = sym;
+  Token t = make(TokenKind::Identifier, begin);
+  t.symbol = support::Symbol::intern(name);
   return t;
 }
 

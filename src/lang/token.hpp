@@ -42,7 +42,7 @@ enum class TokenKind : std::uint8_t {
 
 struct Token {
   TokenKind kind = TokenKind::Eof;
-  std::string text;        // identifier spelling, string value, annotation body
+  std::string text;        // string value, annotation body
   support::Symbol symbol;  // interned spelling for Identifier tokens
   std::int64_t int_value = 0;
   double double_value = 0.0;

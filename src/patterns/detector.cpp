@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <set>
 
-#include "runtime/master_worker.hpp"
-#include "runtime/parallel_for.hpp"
 #include "support/diagnostics.hpp"
 
 namespace patty::patterns {
@@ -600,8 +598,7 @@ namespace {
 
 /// Match the catalog against one loop: data-parallel first (the stronger
 /// pattern — fully independent iteration space, no buffers), then
-/// pipeline. Pure per-loop function, so the parallel front-end can run it
-/// from any worker; the model's dependence cache absorbs the repeated
+/// pipeline. The model's dependence cache absorbs the repeated
 /// loop_dependences queries both detectors make.
 PipelineOutcome match_loop(const SemanticModel& model,
                            const analysis::LoopInfo& li,
@@ -630,39 +627,15 @@ PipelineOutcome match_loop(const SemanticModel& model,
 
 DetectionResult detect_all(const SemanticModel& model,
                            DetectionOptions options) {
-  const std::vector<analysis::LoopInfo>& loops = model.loops();
-  std::vector<PipelineOutcome> outcomes(loops.size());
-  std::vector<Candidate> mw_candidates;
-
-  if (options.parallel && !loops.empty()) {
-    // Self-hosted matching: per-loop outcomes fan out through parallel_for
-    // into index-stable slots while the master/worker region scan runs as
-    // the second concurrent task. Assembly below walks slots in loop
-    // order, so the result is byte-identical to the sequential branch.
-    rt::MasterWorker mw;  // workers=0: shared pool + helping join
-    mw.run({[&] {
-              rt::parallel_for(
-                  0, static_cast<std::int64_t>(loops.size()),
-                  [&](std::int64_t i) {
-                    const auto idx = static_cast<std::size_t>(i);
-                    outcomes[idx] = match_loop(model, loops[idx], options);
-                  });
-            },
-            [&] { mw_candidates = detect_master_worker(model, options); }});
-  } else {
-    for (std::size_t i = 0; i < loops.size(); ++i)
-      outcomes[i] = match_loop(model, loops[i], options);
-    mw_candidates = detect_master_worker(model, options);
-  }
-
   DetectionResult result;
-  for (PipelineOutcome& o : outcomes) {
+  for (const analysis::LoopInfo& li : model.loops()) {
+    PipelineOutcome o = match_loop(model, li, options);
     if (o.candidate)
       result.candidates.push_back(std::move(*o.candidate));
     else if (o.rejection)
       result.rejected.push_back(std::move(*o.rejection));
   }
-  for (Candidate& mw : mw_candidates) {
+  for (Candidate& mw : detect_master_worker(model, options)) {
     if (mw.runtime_share >= options.min_runtime_share)
       result.candidates.push_back(std::move(mw));
   }

@@ -30,12 +30,6 @@ struct DetectionOptions {
   /// optimistic detector (used by the certification tests to manufacture
   /// racy residue).
   bool scatter_guard = true;
-  /// Self-hosted front-end: per-loop pattern matching fans out over the
-  /// runtime's own pool (parallel_for over the loop list, master/worker
-  /// region detection concurrently). Output is byte-identical to the
-  /// sequential path — outcomes land in index-stable slots and are
-  /// assembled in loop order before the (stable) ranking sort.
-  bool parallel = false;
 };
 
 /// Detect pipeline candidates in one loop. Returns a candidate or a

@@ -68,9 +68,12 @@ class Value {
   [[nodiscard]] bool as_bool(bool fallback = false) const {
     return kind_ == Kind::Bool ? bool_ : fallback;
   }
+  /// A double truncates toward zero; one outside the int64 range, where
+  /// the cast is undefined, reads as `fallback`.
   [[nodiscard]] std::int64_t as_int(std::int64_t fallback = 0) const {
     if (kind_ == Kind::Int) return int_;
-    if (kind_ == Kind::Double) return static_cast<std::int64_t>(double_);
+    if (kind_ == Kind::Double && double_ >= -0x1p63 && double_ < 0x1p63)
+      return static_cast<std::int64_t>(double_);
     return fallback;
   }
   [[nodiscard]] double as_double(double fallback = 0.0) const {

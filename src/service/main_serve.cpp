@@ -1,7 +1,7 @@
 // patty-serve: the resident analysis daemon.
 //
 //   patty-serve --socket /tmp/patty.sock [--workers N] [--queue-limit N]
-//               [--degrade-depth N] [--cache-mb N] [--deadline-ms N]
+//               [--cache-mb N] [--deadline-ms N] [--write-timeout-ms N]
 //
 // Serves parse/detect/certify/tune requests over a Unix-domain socket
 // (wire format: service/protocol.hpp; client: service/client.hpp). Runs
@@ -43,7 +43,6 @@ void on_signal(int) {
       "  --socket PATH         Unix-domain socket to bind (required)\n"
       "  --workers N           request-executor threads (default 2)\n"
       "  --queue-limit N       admission high-water mark (default 64)\n"
-      "  --degrade-depth N     sequential-fallback depth (default: limit/2)\n"
       "  --cache-mb N          semantic-model cache budget (default 64)\n"
       "  --deadline-ms N       default per-request deadline (default and\n"
       "                        cap 60000)\n"
@@ -81,9 +80,6 @@ int main(int argc, char** argv) {
       options.workers = static_cast<int>(parse_long(argv[0], arg, value()));
     } else if (std::strcmp(arg, "--queue-limit") == 0) {
       options.queue_limit =
-          static_cast<std::size_t>(parse_long(argv[0], arg, value()));
-    } else if (std::strcmp(arg, "--degrade-depth") == 0) {
-      options.degrade_depth =
           static_cast<std::size_t>(parse_long(argv[0], arg, value()));
     } else if (std::strcmp(arg, "--cache-mb") == 0) {
       options.cache_bytes =

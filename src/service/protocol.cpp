@@ -57,6 +57,22 @@ int read_all(int fd, void* data, std::size_t len, std::string* error) {
   return 1;
 }
 
+/// Reads an optional integer field; *out keeps its default when the key is
+/// absent. A present value must be an integer literal that fits int64 (the
+/// parser keeps a fraction, `1e300` or a 20-digit literal as a double):
+/// anything else rejects the request, naming the field.
+bool read_int(const json::Value& v, const char* key, std::int64_t* out,
+              std::string* error) {
+  const json::Value* field = v.find(key);
+  if (field == nullptr) return true;
+  if (field->kind() != json::Value::Kind::Int) {
+    if (error) *error = std::string("'") + key + "' must be an int64 integer";
+    return false;
+  }
+  *out = field->as_int();
+  return true;
+}
+
 }  // namespace
 
 bool write_frame(int fd, std::string_view payload, std::string* error,
@@ -156,7 +172,6 @@ json::Value Request::to_json() const {
   if (!source.empty()) v.set("source", source);
   if (deadline_ms != 0) v.set("deadline_ms", deadline_ms);
   if (!optimistic) v.set("optimistic", false);
-  if (parallel) v.set("parallel", true);
   if (no_cache) v.set("no_cache", true);
   if (kind == RequestKind::Tune) v.set("max_evals", max_evals);
   return v;
@@ -180,13 +195,13 @@ std::optional<Request> Request::from_json(const json::Value& v,
     return std::nullopt;
   }
   req.kind = *parsed;
-  req.id = v.at("id").as_int();
+  if (!read_int(v, "id", &req.id, error) ||
+      !read_int(v, "deadline_ms", &req.deadline_ms, error) ||
+      !read_int(v, "max_evals", &req.max_evals, error))
+    return std::nullopt;
   req.source = v.at("source").as_string();
-  req.deadline_ms = v.at("deadline_ms").as_int();
   req.optimistic = v.at("optimistic").as_bool(true);
-  req.parallel = v.at("parallel").as_bool(false);
   req.no_cache = v.at("no_cache").as_bool(false);
-  req.max_evals = v.at("max_evals").as_int(12);
   if (req.deadline_ms < 0 || req.max_evals < 1) {
     if (error) *error = "negative budget field";
     return std::nullopt;
@@ -209,10 +224,6 @@ json::Value Response::to_json() const {
   v.set("id", id);
   v.set("ok", ok);
   if (!kind.empty()) v.set("kind", kind);
-  if (degraded) {
-    v.set("degraded", true);
-    v.set("degrade_reason", degrade_reason);
-  }
   if (cached) v.set("cached", true);
   if (ok) {
     v.set("result", result);
@@ -235,8 +246,6 @@ std::optional<Response> Response::from_json(const json::Value& v,
   resp.id = v.at("id").as_int();
   resp.ok = v.at("ok").as_bool();
   resp.kind = v.at("kind").as_string();
-  resp.degraded = v.at("degraded").as_bool();
-  resp.degrade_reason = v.at("degrade_reason").as_string();
   resp.cached = v.at("cached").as_bool();
   if (resp.ok) {
     resp.result = v.at("result");

@@ -7,12 +7,12 @@
 // responses to one connection come back in completion order, so pipelined
 // clients must not assume FIFO.
 //
-// Request (fields beyond `kind` are optional with the defaults below):
+// Request (fields beyond `kind` are optional with the defaults below, a
+// number must be an int64 integer literal, and any other key is ignored):
 //   {"id":7,"kind":"detect","source":"class Main {...}","deadline_ms":500,
-//    "optimistic":true,"parallel":false,"no_cache":false}
+//    "optimistic":true,"no_cache":false}
 // Success:
-//   {"id":7,"ok":true,"kind":"detect","cached":true,"degraded":false,
-//    "result":{...}}
+//   {"id":7,"ok":true,"kind":"detect","cached":true,"result":{...}}
 // Failure (structured, never a dropped connection):
 //   {"id":7,"ok":false,"kind":"detect",
 //    "error":{"code":"deadline","message":"..."}}
@@ -59,13 +59,13 @@ struct Request {
   std::string source;              // MiniOO program text
   std::int64_t deadline_ms = 0;    // 0 = server default (at most its cap)
   bool optimistic = true;          // detector mode
-  bool parallel = false;           // parallel front-end inside the request
   bool no_cache = false;           // bypass the semantic-model cache
   std::int64_t max_evals = 12;     // tune: measured-evaluation budget
 
   [[nodiscard]] json::Value to_json() const;
   /// Decode; nullopt + *error on a structurally invalid request (bad kind,
-  /// wrong field types, missing source for kinds that need one).
+  /// a number field that is not an in-range integer, a negative budget,
+  /// missing source for kinds that need one).
   static std::optional<Request> from_json(const json::Value& v,
                                           std::string* error);
 };
@@ -90,9 +90,6 @@ struct Response {
   // Failure:
   ErrorCode error_code = ErrorCode::Internal;
   std::string error_message;
-  // Degradation (set on success and failure alike):
-  bool degraded = false;
-  std::string degrade_reason;
   bool cached = false;  // answered from the semantic-model cache
   // Success payload, kind-specific (see DESIGN.md §14).
   json::Value result;

@@ -40,7 +40,6 @@ struct ServiceMetrics {
   observe::Counter& errors = reg.counter("service.responses.error");
   observe::Counter& write_failures =
       reg.counter("service.responses.write_failures");
-  observe::Counter& degraded = reg.counter("service.degraded");
   observe::Counter& deadline_expired = reg.counter("service.deadline_expired");
   observe::Counter& accept_faults = reg.counter("service.accept_faults");
   observe::Gauge& queue_depth = reg.gauge("service.queue.depth");
@@ -89,11 +88,7 @@ struct Server::Conn {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_bytes) {
-  degrade_depth_ = options_.degrade_depth > 0
-                       ? options_.degrade_depth
-                       : std::max<std::size_t>(1, options_.queue_limit / 2);
-}
+      cache_(options_.cache_bytes) {}
 
 Server::~Server() { stop(); }
 
@@ -397,7 +392,6 @@ void Server::handle_frame(const std::shared_ptr<Conn>& conn,
 void Server::worker_loop() {
   for (;;) {
     Pending pending;
-    bool degrade = false;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock,
@@ -409,19 +403,14 @@ void Server::worker_loop() {
       pending = std::move(queue_.front());
       queue_.pop_front();
       metrics().queue_depth.add(-1);
-      // Sustained pressure at dequeue time degrades the request to the
-      // sequential front-end (cheapest correct mode) instead of letting
-      // parallel fan-out amplify the overload.
-      degrade = queue_.size() >= degrade_depth_;
     }
     metrics().queue_wait_ms.record(ms_since(pending.enqueued));
     const auto start = std::chrono::steady_clock::now();
-    const Response resp = execute(pending.req, degrade);
+    const Response resp = execute(pending.req);
     metrics().latency_ms.record(ms_since(start));
     (resp.ok ? metrics().ok : metrics().errors).add();
     if (!resp.ok && resp.error_code == ErrorCode::Deadline)
       metrics().deadline_expired.add();
-    if (resp.degraded) metrics().degraded.add();
     respond(*pending.conn, resp);
   }
 }
@@ -451,16 +440,10 @@ void Server::respond(Conn& conn, const Response& resp) {
 // ---------------------------------------------------------------------------
 // Request execution: one fault domain per request.
 
-Response Server::execute(const Request& req, bool degrade) {
+Response Server::execute(const Request& req) {
   Response resp;
   resp.id = req.id;
   resp.kind = request_kind_name(req.kind);
-  if (degrade && req.parallel) {
-    resp.degraded = true;
-    resp.degrade_reason = "sustained pressure: queue depth at or past " +
-                          std::to_string(degrade_depth_) +
-                          ", sequential fallback";
-  }
 
   rt::StopSource stop;
   std::int64_t deadline_ms =
@@ -488,7 +471,7 @@ Response Server::execute(const Request& req, bool degrade) {
       case RequestKind::Tune: {
         bool cached = false;
         const std::shared_ptr<const ModelEntry> entry =
-            acquire_model(req, degrade, &cached);
+            acquire_model(req, &cached);
         resp.cached = cached;
         if (req.kind == RequestKind::Detect)
           resp.result = do_detect(req, *entry);
@@ -557,7 +540,6 @@ json::Value Server::do_parse(const Request& req) {
 }
 
 std::shared_ptr<const ModelEntry> Server::acquire_model(const Request& req,
-                                                        bool degrade,
                                                         bool* cached) {
   const std::uint64_t key = ModelCache::key(req.source, req.optimistic);
   if (!req.no_cache) {
@@ -570,8 +552,7 @@ std::shared_ptr<const ModelEntry> Server::acquire_model(const Request& req,
   corpus::CorpusProgram program;
   program.name = "request";
   program.source = req.source;
-  corpus::FrontendConfig config;
-  config.parallel = req.parallel && !degrade;
+  corpus::FrontendConfig config;  // sequential, on this worker thread
   config.optimistic = req.optimistic;
   auto entry = std::make_shared<ModelEntry>();
   bool adopted = false;
@@ -720,7 +701,6 @@ Response Server::handle_health(const Request& req, bool full_stats) {
   queue.set("depth", depth.value);
   queue.set("high_water", depth.max);
   queue.set("limit", options_.queue_limit);
-  queue.set("degrade_depth", degrade_depth_);
   result.set("queue", std::move(queue));
 
   const CacheStats cs = cache_.stats();
@@ -740,7 +720,6 @@ Response Server::handle_health(const Request& req, bool full_stats) {
   requests.set("error", counter("service.responses.error"));
   requests.set("overloaded", counter("service.requests.overloaded"));
   requests.set("decode_errors", counter("service.requests.decode_errors"));
-  requests.set("degraded", counter("service.degraded"));
   requests.set("deadline_expired", counter("service.deadline_expired"));
   requests.set("write_failures", counter("service.responses.write_failures"));
   result.set("requests", std::move(requests));

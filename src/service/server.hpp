@@ -18,10 +18,9 @@
 //    `queue_limit` (the high-water mark): a request arriving past the mark
 //    is answered `overloaded` immediately instead of queueing without
 //    bound, so latency stays bounded and memory cannot grow with offered
-//    load. Under sustained pressure (depth at or past `degrade_depth`)
-//    in-flight work degrades to the sequential front-end — the paper's
-//    SequentialExecution escape hatch — reported in the response's
-//    `degraded`/`degrade_reason` fields.
+//    load. Every request runs the front-end sequentially on its worker
+//    thread: the daemon's parallelism is across requests, so a deeper
+//    queue never multiplies the work in flight.
 //
 //  * Content-hash model cache. Frozen semantic models are cached by source
 //    hash (service/model_cache.hpp): resubmitting an unchanged program
@@ -61,16 +60,13 @@ struct ServerOptions {
   /// Filesystem path of the Unix-domain socket (bound at start(), unlinked
   /// at stop()). Must fit sockaddr_un (~107 bytes).
   std::string socket_path;
-  /// Request-executor threads. Each runs one request at a time; requests
-  /// asking for the parallel front-end additionally fan out on the shared
+  /// Request-executor threads. Each runs one request at a time, the
+  /// front-end on its own thread; a tune's measured runs use the shared
   /// runtime pool.
   int workers = 2;
   /// Admission high-water mark: pending requests past this depth are shed
   /// with an immediate `overloaded` response.
   std::size_t queue_limit = 64;
-  /// Depth at which in-flight work degrades to the sequential front-end;
-  /// 0 = auto (half the queue limit, at least 1).
-  std::size_t degrade_depth = 0;
   /// Semantic-model cache budget (bytes).
   std::size_t cache_bytes = 64u << 20;
   /// Deadline applied when a request does not carry one; 0 = none.
@@ -142,17 +138,16 @@ class Server {
   void respond(Conn& conn, const Response& resp);
   void reap_connections(bool all);
 
-  Response execute(const Request& req, bool degrade);
+  Response execute(const Request& req);
   json::Value do_parse(const Request& req);
   std::shared_ptr<const ModelEntry> acquire_model(const Request& req,
-                                                  bool degrade, bool* cached);
+                                                  bool* cached);
   json::Value do_detect(const Request& req, const ModelEntry& entry);
   json::Value do_certify(const Request& req, const ModelEntry& entry);
   json::Value do_tune(const Request& req, const ModelEntry& entry);
   Response handle_health(const Request& req, bool full_stats);
 
   ServerOptions options_;
-  std::size_t degrade_depth_ = 0;
   ModelCache cache_;
   std::chrono::steady_clock::time_point started_at_{};
 

@@ -1,9 +1,9 @@
 // Self-hosted front-end regression suite (label `analysis`, also run in the
 // sanitizer `stress` job):
-//  * the parallel front-end — one parallel_for of whole-program tasks,
-//    parallel model build, parallel per-loop matching — must report
-//    byte-identical detections to the sequential front-end across the whole
-//    corpus (handwritten + full synthetic study suite);
+//  * the parallel front-end — one parallel_for of whole-program tasks, each
+//    running its phases in order — must report byte-identical detections
+//    to the sequential front-end across the whole corpus (handwritten +
+//    full synthetic study suite);
 //  * a failing program fails only its own report, and a stopped ambient
 //    token cancels the parallel front-end;
 //  * the dependence memo returns stable references and computes once per
@@ -22,7 +22,6 @@
 #include "analysis/semantic_model.hpp"
 #include "corpus/corpus.hpp"
 #include "lang/sema.hpp"
-#include "patterns/detector.hpp"
 #include "runtime/cancellation.hpp"
 
 namespace patty {
@@ -146,25 +145,6 @@ TEST(FrontendCancellation, StoppedScopeCancelsParallelFrontend) {
   EXPECT_THROW(corpus::evaluate_corpus(all, config), rt::OperationCancelled);
 }
 
-TEST(FrontendDeterminism, ParallelDetectorMatchesSequentialPerProgram) {
-  // Same invariant one layer down: detect_all with options.parallel against
-  // the identical model, no corpus pipeline involved.
-  for (const corpus::CorpusProgram* p : corpus::handwritten()) {
-    DiagnosticSink diags;
-    auto program = lang::parse_and_check(p->source, diags);
-    ASSERT_TRUE(program) << p->name << ": " << diags.to_string();
-    auto model = analysis::SemanticModel::build(*program);
-
-    patterns::DetectionOptions options;
-    const std::string sequential =
-        patterns::detection_fingerprint(patterns::detect_all(*model, options));
-    options.parallel = true;
-    const std::string parallel =
-        patterns::detection_fingerprint(patterns::detect_all(*model, options));
-    EXPECT_EQ(parallel, sequential) << p->name;
-  }
-}
-
 TEST(DepCache, ReturnsStableMemoizedReferences) {
   DiagnosticSink diags;
   auto program = lang::parse_and_check(R"(class Main { void main() {
@@ -196,8 +176,9 @@ TEST(DepCache, ReturnsStableMemoizedReferences) {
 }
 
 TEST(DepCache, ConcurrentQueriesAgree) {
-  // Detector workers hammer the same loops from many threads; every thread
-  // must see the same memoized vector.
+  // Threads sharing one model (the daemon's request workers share cached
+  // models) hammer the same loops; every thread must see the same memoized
+  // vector.
   DiagnosticSink diags;
   auto program = lang::parse_and_check(R"(class Main { void main() {
     int[] a = new int[32];

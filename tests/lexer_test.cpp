@@ -74,13 +74,13 @@ TEST(LexerTest, IntegerLiteralOutOfRangeIsAnError) {
 
 TEST(LexerTest, KeywordPrefixesAreIdentifiers) {
   // Words that start like a keyword, extend one, or are one letter short of
-  // one stay identifiers, with their spelling in `text` and `symbol`.
+  // one stay identifiers, with their spelling in `symbol`.
   for (const char* word : {"inx", "into", "forex", "foreachx", "newer", "nul",
                            "classy", "iff", "doubles", "voids", "lists"}) {
     auto tokens = lex_ok(word);
     ASSERT_EQ(tokens.size(), 2u) << word;
     EXPECT_EQ(tokens[0].kind, TokenKind::Identifier) << word;
-    EXPECT_EQ(tokens[0].text, word);
+    EXPECT_EQ(tokens[0].symbol.str(), word);
     EXPECT_EQ(tokens[0].symbol, support::Symbol::intern(word));
   }
 }
@@ -119,9 +119,9 @@ TEST(LexerTest, OperatorsIncludingCompound) {
 TEST(LexerTest, LineAndBlockCommentsAreSkipped) {
   auto tokens = lex_ok("a // comment\nb /* block\ncomment */ c");
   ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[0].text, "a");
-  EXPECT_EQ(tokens[1].text, "b");
-  EXPECT_EQ(tokens[2].text, "c");
+  EXPECT_EQ(tokens[0].symbol.str(), "a");
+  EXPECT_EQ(tokens[1].symbol.str(), "b");
+  EXPECT_EQ(tokens[2].symbol.str(), "c");
 }
 
 TEST(LexerTest, PositionsTrackLinesAndColumns) {

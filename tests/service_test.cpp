@@ -8,8 +8,7 @@
 //     and its other connections keep running;
 //   * admission control sheds, it does not queue: past the high-water mark
 //     requests get an immediate `overloaded` response and the queue gauge
-//     never exceeds the bound; sustained pressure degrades requests to the
-//     sequential front-end, visibly;
+//     never exceeds the bound;
 //   * the content-hash model cache serves counter-verified hits whose
 //     detection fingerprints are byte-identical to the uncached path,
 //     including after an eviction (the frozen-model rule), and its LRU byte
@@ -297,7 +296,6 @@ TEST(ServiceProtocolTest, RequestRoundTrip) {
   req.source = "class Main { int main() { return 1; } }";
   req.deadline_ms = 1234;
   req.optimistic = false;
-  req.parallel = true;
   req.no_cache = true;
   req.max_evals = 3;
   std::string error;
@@ -308,9 +306,16 @@ TEST(ServiceProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(back->source, req.source);
   EXPECT_EQ(back->deadline_ms, req.deadline_ms);
   EXPECT_EQ(back->optimistic, req.optimistic);
-  EXPECT_EQ(back->parallel, req.parallel);
   EXPECT_EQ(back->no_cache, req.no_cache);
   EXPECT_EQ(back->max_evals, req.max_evals);
+
+  // An older client still asks for the removed nested-parallel front-end;
+  // the decoder ignores the key and the request decodes unchanged.
+  json::Value old = req.to_json();
+  old.set("parallel", true);
+  const auto old_back = Request::from_json(old, &error);
+  ASSERT_TRUE(old_back.has_value()) << error;
+  EXPECT_EQ(old_back->to_json().dump(), req.to_json().dump());
 }
 
 TEST(ServiceProtocolTest, RequestValidationRejectsBadInput) {
@@ -329,6 +334,19 @@ TEST(ServiceProtocolTest, RequestValidationRejectsBadInput) {
   EXPECT_FALSE(decode(R"({"id":1,"kind":"parse","source":"x",
                           "deadline_ms":-5})")
                    .empty());
+  // Numbers past the int64 range reach the decoder as doubles; each is a
+  // bad request that names its field, never a wrapped-around integer.
+  EXPECT_NE(decode(R"({"id":1e300,"kind":"parse","source":"x"})")
+                .find("'id'"),
+            std::string::npos);
+  EXPECT_NE(decode(R"({"id":1,"kind":"parse","source":"x",
+                       "deadline_ms":1e300})")
+                .find("'deadline_ms'"),
+            std::string::npos);
+  EXPECT_NE(decode(R"({"id":1,"kind":"tune","source":"x",
+                       "max_evals":99999999999999999999})")
+                .find("'max_evals'"),
+            std::string::npos);
 }
 
 TEST(ServiceProtocolTest, ResponseRoundTripBothShapes) {
@@ -337,16 +355,12 @@ TEST(ServiceProtocolTest, ResponseRoundTripBothShapes) {
   ok.ok = true;
   ok.kind = "detect";
   ok.cached = true;
-  ok.degraded = true;
-  ok.degrade_reason = "pressure";
   ok.result.set("fingerprint", "abc");
   std::string error;
   auto back = Response::from_json(ok.to_json(), &error);
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_TRUE(back->ok);
   EXPECT_TRUE(back->cached);
-  EXPECT_TRUE(back->degraded);
-  EXPECT_EQ(back->degrade_reason, "pressure");
   EXPECT_EQ(back->result.at("fingerprint").as_string(), "abc");
 
   const Response fail =
@@ -670,6 +684,26 @@ TEST_F(ServiceTest, DetectFingerprintMatchesDirectFrontend) {
   ASSERT_TRUE(bypass.ok);
   EXPECT_FALSE(bypass.cached);
   EXPECT_EQ(bypass.result.at("fingerprint").as_string(),
+            direct.programs[0].fingerprint);
+
+  // An older client's `"parallel": true` is ignored: the request runs the
+  // same front-end and gets the same fingerprint.
+  json::Value old = req.to_json();
+  old.set("id", std::int64_t{4});
+  old.set("parallel", true);
+  std::string error;
+  ASSERT_TRUE(client.send_raw(old.dump(), &error)) << error;
+  std::string payload;
+  ASSERT_EQ(client.recv_raw(&payload, &error), 1) << error;
+  const auto frame = json::Value::parse(payload, &error);
+  ASSERT_TRUE(frame.has_value()) << error;
+  EXPECT_EQ(frame->find("degraded"), nullptr) << payload;
+  const auto legacy = Response::from_json(*frame, &error);
+  ASSERT_TRUE(legacy.has_value()) << error;
+  ASSERT_TRUE(legacy->ok) << legacy->error_message;
+  EXPECT_EQ(legacy->id, 4);
+  EXPECT_FALSE(legacy->cached);
+  EXPECT_EQ(legacy->result.at("fingerprint").as_string(),
             direct.programs[0].fingerprint);
 }
 
@@ -1109,7 +1143,6 @@ TEST_F(ServiceTest, OverloadShedsImmediatelyAndBoundsTheQueue) {
   ServerOptions options;
   options.workers = 1;
   options.queue_limit = 3;
-  options.degrade_depth = 64;  // keep degradation out of this test
   observe::Registry::global().gauge("service.queue.depth").reset();
   start(options);
   Client client = connect();
@@ -1150,35 +1183,6 @@ TEST_F(ServiceTest, OverloadShedsImmediatelyAndBoundsTheQueue) {
   EXPECT_LE(depth.max, static_cast<std::int64_t>(options.queue_limit));
 }
 
-TEST_F(ServiceTest, SustainedPressureDegradesToSequential) {
-  ServerOptions options;
-  options.workers = 1;
-  options.queue_limit = 16;
-  options.degrade_depth = 1;
-  start(options);
-  Client client = connect();
-  std::string error;
-  constexpr int kBurst = 5;
-  for (int i = 0; i < kBurst; ++i) {
-    Request req = slow_request(i + 1, /*iters=*/120, /*salt=*/100 + i);
-    req.parallel = true;  // asks for the parallel front-end...
-    ASSERT_TRUE(client.send(req, &error)) << error;
-  }
-  int degraded = 0;
-  for (int i = 0; i < kBurst; ++i) {
-    const auto resp = client.recv(&error);
-    ASSERT_TRUE(resp.has_value()) << error;
-    EXPECT_TRUE(resp->ok) << resp->error_message;
-    if (resp->degraded) {
-      ++degraded;
-      EXPECT_NE(resp->degrade_reason.find("sequential"), std::string::npos);
-    }
-  }
-  // ...but the ones dequeued under pressure ran sequentially, visibly.
-  EXPECT_GE(degraded, 1);
-  EXPECT_GE(counter_value("service.degraded"), static_cast<std::uint64_t>(degraded));
-}
-
 // --- health, stats, reporting ------------------------------------------------
 
 TEST_F(ServiceTest, HealthReportsOneSourceOfTruth) {
@@ -1213,6 +1217,15 @@ TEST_F(ServiceTest, HealthReportsOneSourceOfTruth) {
   const std::int64_t ok = result.at("requests").at("ok").as_int();
   const std::int64_t errs = result.at("requests").at("error").as_int();
   EXPECT_EQ(accepted, ok + errs + /*this health request*/ 1);
+  // Admission reports its bound, the queue's high-water mark and the shed
+  // count; there is no pressure mode to report.
+  const json::Value& queue = result.at("queue");
+  EXPECT_EQ(queue.at("limit").as_int(),
+            static_cast<std::int64_t>(server_->options().queue_limit));
+  EXPECT_TRUE(queue.at("high_water").is_number());
+  EXPECT_TRUE(result.at("requests").at("overloaded").is_number());
+  EXPECT_EQ(queue.find("degrade_depth"), nullptr);
+  EXPECT_EQ(result.at("requests").find("degraded"), nullptr);
   // memory_summary flows through the same gauges (satellite: one source of
   // truth for report, daemon and tests).
   EXPECT_NE(result.at("memory").as_string().find("service cache"),
@@ -1375,7 +1388,6 @@ TEST_F(ServiceTest, FaultInjectionSoakAnswersEveryRequest) {
           req.source = (mix % 3 == 0)   ? kSumSource
                        : (mix % 3 == 1) ? kProductSource
                                         : slow_source(3, /*salt=*/mix);
-          req.parallel = (mix % 2 == 0);  // exercise runtime failpoints
           deliver([&] { return client.send(req, &error); });
         }
       }
