@@ -17,6 +17,20 @@ namespace {
 /// Cost units one uninterrupted burn covers: about 0.1 ms of CPU.
 constexpr std::uint64_t kWorkSliceUnits = 1024;
 
+/// Steps a thread takes from an interpreter's budget at a time.
+constexpr std::uint64_t kStepClaim = 1024;
+
+/// The calling thread's unspent claim, and the id of the interpreter it was
+/// taken from. A thread that moves on to another interpreter drops the rest
+/// of its claim: the step limit can then fire early, never late.
+struct StepClaim {
+  std::uint64_t owner = 0;
+  std::uint64_t left = 0;
+};
+thread_local StepClaim t_claim;
+
+std::atomic<std::uint64_t> g_next_interpreter_id{1};
+
 /// The CPU burner behind `work(n)`: 60 iterations of a deterministic
 /// integer mix per cost unit (`volatile` keeps the optimizer from
 /// collapsing the loop, so one unit is a stable amount of real CPU work).
@@ -24,8 +38,6 @@ constexpr std::uint64_t kWorkSliceUnits = 1024;
 /// slices, so a deadline cuts it short; a call that fits one slice does no
 /// extra check.
 void burn_work(std::uint64_t units) {
-  const rt::StopToken stop =
-      units > kWorkSliceUnits ? rt::current_stop_token() : rt::StopToken();
   for (;;) {
     const std::uint64_t slice = std::min(units, kWorkSliceUnits);
     volatile std::uint64_t acc = 0x9e3779b97f4a7c15ULL;
@@ -33,7 +45,7 @@ void burn_work(std::uint64_t units) {
       acc = (acc ^ (acc >> 13)) * 0xff51afd7ed558ccdULL + i;
     units -= slice;
     if (units == 0) return;
-    if (stop.stop_requested()) throw rt::OperationCancelled("work()");
+    if (rt::stop_requested()) throw rt::OperationCancelled("work()");
   }
 }
 
@@ -56,23 +68,36 @@ thread_local const lang::Stmt* Interpreter::current_stmt_ = nullptr;
 
 Interpreter::Interpreter(const lang::Program& program, Tracer* tracer,
                          Options options)
-    : program_(program), tracer_(tracer), options_(options) {}
+    : program_(program),
+      tracer_(tracer),
+      id_(g_next_interpreter_id.fetch_add(1, std::memory_order_relaxed)),
+      unclaimed_steps_(options.max_steps) {}
 
 void Interpreter::error(SourceRange range, std::string message) const {
   throw RuntimeError{std::move(message), range};
 }
 
 void Interpreter::charge(const lang::Stmt& st) {
-  // Relaxed accounting: counters are cross-thread only in parallel plan
-  // execution, where exact interleaving of increments does not matter.
-  const std::uint64_t n = steps_.fetch_add(1, std::memory_order_relaxed) + 1;
-  cost_.fetch_add(1, std::memory_order_relaxed);
-  if (n > options_.max_steps)
-    error(st.range, "step limit exceeded (possible infinite loop)");
+  StepClaim& claim = t_claim;
+  if (claim.owner != id_ || claim.left == 0) claim_steps(st);
+  --claim.left;
   if (tracer_) {
     current_stmt_ = &st;
     tracer_->on_stmt(st);
   }
+}
+
+void Interpreter::claim_steps(const lang::Stmt& st) {
+  // Relaxed: the budget orders nothing but itself.
+  std::uint64_t unclaimed = unclaimed_steps_.load(std::memory_order_relaxed);
+  std::uint64_t take = 0;
+  do {
+    if (unclaimed == 0)
+      error(st.range, "step limit exceeded (possible infinite loop)");
+    take = std::min(unclaimed, kStepClaim);
+  } while (!unclaimed_steps_.compare_exchange_weak(
+      unclaimed, unclaimed - take, std::memory_order_relaxed));
+  t_claim = {id_, take};
 }
 
 std::string Interpreter::output() const {
@@ -180,7 +205,7 @@ ExecSignal Interpreter::exec_stmt(const lang::Stmt& st, Frame& frame) {
       if (a.target->type && a.target->type->kind == lang::Type::Kind::Double &&
           v.is_int())
         v = Value::of_double(static_cast<double>(v.as_int()));
-      assign_to(*a.target, std::move(v), frame, st);
+      assign_to(*a.target, std::move(v), frame);
       return ExecSignal::Normal;
     }
     case StmtKind::ExprStmt:
@@ -283,8 +308,7 @@ ExecSignal Interpreter::exec_stmt(const lang::Stmt& st, Frame& frame) {
 }
 
 void Interpreter::assign_to(const lang::Expr& target, Value value,
-                            Frame& frame, const lang::Stmt& at) {
-  (void)at;
+                            Frame& frame) {
   switch (target.kind) {
     case ExprKind::VarRef: {
       const auto& ref = target.as<lang::VarRef>();
@@ -304,16 +328,23 @@ void Interpreter::assign_to(const lang::Expr& target, Value value,
       Value obj = eval(*fa.object, frame);
       if (!obj.is_object() || !obj.as_object())
         error(target.range, "field write on null");
-      Object* o = obj.as_object().get();
+      Object* o = obj.as_object();
       o->fields[static_cast<std::size_t>(fa.field_index)] = std::move(value);
       trace_write(field_cell(*o, fa.field_index));
       return;
     }
     case ExprKind::IndexAccess: {
       const auto& ix = target.as<lang::IndexAccess>();
-      Value base = eval(*ix.base, frame);
-      Value index = eval(*ix.index, frame);
-      const std::int64_t i = check_index(base, index, target.range);
+      // A borrowed base is read in its variable's slot: only program code
+      // could reassign it, and a borrowing index runs none
+      // (IndexAccess::borrows_base).
+      Value copy;
+      const Value& base =
+          ix.borrows_base
+              ? variable(ix.base->as<lang::VarRef>(), frame, ix.base->range)
+              : (copy = eval(*ix.base, frame));
+      const std::int64_t i =
+          check_index(base, eval(*ix.index, frame), target.range);
       if (base.is_array()) {
         base.as_array()->elems[static_cast<std::size_t>(i)] = std::move(value);
         trace_write(element_cell(*base.as_array(), i));
@@ -346,6 +377,18 @@ std::int64_t Interpreter::check_index(const Value& container,
   return i;
 }
 
+const Value& Interpreter::variable(const lang::VarRef& ref,
+                                   const Frame& frame, SourceRange range) {
+  if (ref.is_local()) {
+    trace_read(local_cell(frame, ref.slot));
+    return frame.locals[static_cast<std::size_t>(ref.slot)];
+  }
+  Object* self = frame.self();
+  if (!self) error(range, "field read without object context");
+  trace_read(field_cell(*self, ref.field_index));
+  return self->fields[static_cast<std::size_t>(ref.field_index)];
+}
+
 Value Interpreter::eval(const lang::Expr& e, Frame& frame) {
   switch (e.kind) {
     case ExprKind::IntLit: return Value::of_int(e.as<lang::IntLit>().value);
@@ -355,17 +398,8 @@ Value Interpreter::eval(const lang::Expr& e, Frame& frame) {
     case ExprKind::StringLit:
       return Value::of_string(e.as<lang::StringLit>().value);
     case ExprKind::NullLit: return Value();
-    case ExprKind::VarRef: {
-      const auto& ref = e.as<lang::VarRef>();
-      if (ref.is_local()) {
-        trace_read(local_cell(frame, ref.slot));
-        return frame.locals[static_cast<std::size_t>(ref.slot)];
-      }
-      Object* self = frame.self();
-      if (!self) error(e.range, "field read without object context");
-      trace_read(field_cell(*self, ref.field_index));
-      return self->fields[static_cast<std::size_t>(ref.field_index)];
-    }
+    case ExprKind::VarRef:
+      return variable(e.as<lang::VarRef>(), frame, e.range);
     case ExprKind::FieldAccess: {
       const auto& fa = e.as<lang::FieldAccess>();
       Value obj = eval(*fa.object, frame);
@@ -376,9 +410,12 @@ Value Interpreter::eval(const lang::Expr& e, Frame& frame) {
     }
     case ExprKind::IndexAccess: {
       const auto& ix = e.as<lang::IndexAccess>();
-      Value base = eval(*ix.base, frame);
-      Value index = eval(*ix.index, frame);
-      const std::int64_t i = check_index(base, index, e.range);
+      Value copy;
+      const Value& base =
+          ix.borrows_base
+              ? variable(ix.base->as<lang::VarRef>(), frame, ix.base->range)
+              : (copy = eval(*ix.base, frame));
+      const std::int64_t i = check_index(base, eval(*ix.index, frame), e.range);
       if (base.is_array()) {
         trace_read(element_cell(*base.as_array(), i));
         return base.as_array()->elems[static_cast<std::size_t>(i)];
@@ -534,7 +571,7 @@ Value Interpreter::eval_builtin(const lang::Call& c, Frame& frame) {
       Value elem = arg(1);
       if (!list.is_list() || !list.as_list())
         error(c.range, "push() into null list");
-      ListVal* lv = list.as_list().get();
+      ListVal* lv = list.as_list();
       lv->elems.push_back(std::move(elem));
       // An append reads and writes the list's size/backing: model it as a
       // write to a designated "append cell" (index -1) so dependence
@@ -546,14 +583,12 @@ Value Interpreter::eval_builtin(const lang::Call& c, Frame& frame) {
       const std::int64_t n = arg(0).as_int();
       if (n < 0) error(c.range, "work() with negative cost");
       burn_work(static_cast<std::uint64_t>(n));
-      cost_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
       if (tracer_) tracer_->on_work(static_cast<std::uint64_t>(n));
       // work() is the natural yield point of a long-running program: honor
       // the ambient stop token here so a deadline or shutdown can cancel a
       // sequential interpreter run mid-execution (the service layer relies
       // on this; parallel regions already check at split points).
-      if (rt::current_stop_token().stop_requested())
-        throw rt::OperationCancelled("work()");
+      if (rt::stop_requested()) throw rt::OperationCancelled("work()");
       return Value::of_int(n);
     }
     case Builtin::Sqrt: return Value::of_double(std::sqrt(arg(0).to_double()));

@@ -40,7 +40,7 @@ struct Frame {
   std::uint64_t serial = 0;  // allocation serial of the locals (MemLoc)
 
   [[nodiscard]] Object* self() const {
-    return self_value.is_object() ? self_value.as_object().get() : nullptr;
+    return self_value.is_object() ? self_value.as_object() : nullptr;
   }
 };
 
@@ -50,6 +50,8 @@ enum class ExecSignal : std::uint8_t { Normal, Break, Continue, Return };
 struct InterpreterOptions {
   /// Abort with RuntimeError after this many statement executions
   /// (guards against non-terminating inputs during dynamic analysis).
+  /// Exact for a run on one thread; threads that share the interpreter
+  /// draw on the one budget and together never run more.
   std::uint64_t max_steps = 200'000'000;
 };
 
@@ -102,25 +104,24 @@ class Interpreter {
   [[nodiscard]] std::string output() const;
   void clear_output();
 
-  /// Total deterministic cost units charged so far (statements + work()).
-  [[nodiscard]] std::uint64_t cost() const {
-    return cost_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t steps() const {
-    return steps_.load(std::memory_order_relaxed);
-  }
-
   const lang::Program& program() const { return program_; }
 
  private:
   Value eval_binary(const lang::Binary& b, Frame& frame);
   Value eval_call(const lang::Call& c, Frame& frame);
   Value eval_builtin(const lang::Call& c, Frame& frame);
-  void assign_to(const lang::Expr& target, Value value, Frame& frame,
-                 const lang::Stmt& at);
+  void assign_to(const lang::Expr& target, Value value, Frame& frame);
+  /// The slot a variable names (a local, or a field of `this`), read in
+  /// place: the caller copies it only where the value must outlive code
+  /// that could reassign the variable.
+  const Value& variable(const lang::VarRef& ref, const Frame& frame,
+                        SourceRange range);
   std::int64_t check_index(const Value& container, const Value& index,
                            SourceRange range) const;
   void charge(const lang::Stmt& st);
+  /// Refill the calling thread's step claim from the budget, or throw the
+  /// step-limit error once the budget is spent.
+  void claim_steps(const lang::Stmt& st);
   /// A fresh allocation serial while a tracer is attached, else 0.
   std::uint64_t stamp() {
     return tracer_ ? next_serial_.fetch_add(1, std::memory_order_relaxed) : 0;
@@ -137,10 +138,12 @@ class Interpreter {
   const lang::Program& program_;
   Tracer* tracer_;
   StmtInterceptor* interceptor_ = nullptr;
-  Options options_;
-  // Atomic so concurrent pipeline stages can charge the same interpreter.
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> cost_{0};
+  // Identifies this interpreter's step claims on each thread; never reused.
+  const std::uint64_t id_;
+  // Steps of max_steps no thread has claimed yet. Each thread claims up to
+  // kStepClaim at a time and charges its statements from that claim, so the
+  // threads of a parallel region share no counter per statement.
+  std::atomic<std::uint64_t> unclaimed_steps_;
   // Serial 0 is the output stream's cell; allocations start at 1.
   std::atomic<std::uint64_t> next_serial_{1};
   // Thread-local: pipeline stage workers execute statements concurrently

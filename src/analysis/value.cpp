@@ -1,8 +1,12 @@
 #include "analysis/value.hpp"
 
+#include <variant>
+
 #include "support/diagnostics.hpp"
 
 namespace patty::analysis {
+
+void Value::wrong_kind() { throw std::bad_variant_access(); }
 
 double Value::to_double() const {
   if (is_int()) return static_cast<double>(as_int());

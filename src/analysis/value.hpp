@@ -2,11 +2,15 @@
 // Runtime values for the MiniOO interpreter. Reference types (objects,
 // arrays, lists) have shared identity via shared_ptr; dynamic dependence
 // profiling keys their cells by an allocation serial instead (MemLoc).
+//
+// A Value is a kind tag, one scalar slot and one shared reference: 32 bytes.
+// Copying or destroying a scalar touches no reference count. A string is an
+// immutable shared buffer, so copying one shares it instead of its text.
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "lang/ast.hpp"
@@ -42,32 +46,61 @@ using ListPtr = std::shared_ptr<ListVal>;
 class Value {
  public:
   Value() = default;  // null
-  static Value of_int(std::int64_t v) { return Value(v); }
-  static Value of_double(double v) { return Value(v); }
-  static Value of_bool(bool v) { return Value(v); }
-  static Value of_string(std::string v) { return Value(std::move(v)); }
-  static Value of_object(ObjectPtr v) { return Value(std::move(v)); }
-  static Value of_array(ArrayPtr v) { return Value(std::move(v)); }
-  static Value of_list(ListPtr v) { return Value(std::move(v)); }
-
-  [[nodiscard]] bool is_null() const {
-    return std::holds_alternative<std::monostate>(v_);
+  Value(const Value&) = default;
+  Value& operator=(const Value&) = default;
+  /// A moved-from value is null.
+  Value(Value&& other) noexcept
+      : kind_(std::exchange(other.kind_, Kind::Null)),
+        scalar_(other.scalar_),
+        ref_(std::move(other.ref_)) {}
+  Value& operator=(Value&& other) noexcept {
+    kind_ = std::exchange(other.kind_, Kind::Null);
+    scalar_ = other.scalar_;
+    ref_ = std::move(other.ref_);
+    return *this;
   }
-  [[nodiscard]] bool is_int() const { return std::holds_alternative<std::int64_t>(v_); }
-  [[nodiscard]] bool is_double() const { return std::holds_alternative<double>(v_); }
-  [[nodiscard]] bool is_bool() const { return std::holds_alternative<bool>(v_); }
-  [[nodiscard]] bool is_string() const { return std::holds_alternative<std::string>(v_); }
-  [[nodiscard]] bool is_object() const { return std::holds_alternative<ObjectPtr>(v_); }
-  [[nodiscard]] bool is_array() const { return std::holds_alternative<ArrayPtr>(v_); }
-  [[nodiscard]] bool is_list() const { return std::holds_alternative<ListPtr>(v_); }
 
-  [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(v_); }
-  [[nodiscard]] double as_double() const { return std::get<double>(v_); }
-  [[nodiscard]] bool as_bool() const { return std::get<bool>(v_); }
-  [[nodiscard]] const std::string& as_string() const { return std::get<std::string>(v_); }
-  [[nodiscard]] const ObjectPtr& as_object() const { return std::get<ObjectPtr>(v_); }
-  [[nodiscard]] const ArrayPtr& as_array() const { return std::get<ArrayPtr>(v_); }
-  [[nodiscard]] const ListPtr& as_list() const { return std::get<ListPtr>(v_); }
+  static Value of_int(std::int64_t v) { return Value(Kind::Int, {.i = v}); }
+  static Value of_double(double v) { return Value(Kind::Double, {.d = v}); }
+  static Value of_bool(bool v) { return Value(Kind::Bool, {.b = v}); }
+  static Value of_string(std::string v) {
+    return Value(Kind::String,
+                 std::make_shared<const std::string>(std::move(v)));
+  }
+  static Value of_object(ObjectPtr v) { return Value(Kind::Object, std::move(v)); }
+  static Value of_array(ArrayPtr v) { return Value(Kind::Array, std::move(v)); }
+  static Value of_list(ListPtr v) { return Value(Kind::List, std::move(v)); }
+
+  [[nodiscard]] bool is_null() const { return kind_ == Kind::Null; }
+  [[nodiscard]] bool is_int() const { return kind_ == Kind::Int; }
+  [[nodiscard]] bool is_double() const { return kind_ == Kind::Double; }
+  [[nodiscard]] bool is_bool() const { return kind_ == Kind::Bool; }
+  [[nodiscard]] bool is_string() const { return kind_ == Kind::String; }
+  [[nodiscard]] bool is_object() const { return kind_ == Kind::Object; }
+  [[nodiscard]] bool is_array() const { return kind_ == Kind::Array; }
+  [[nodiscard]] bool is_list() const { return kind_ == Kind::List; }
+
+  // Each accessor throws std::bad_variant_access on a value of another kind.
+  [[nodiscard]] std::int64_t as_int() const {
+    expect(Kind::Int);
+    return scalar_.i;
+  }
+  [[nodiscard]] double as_double() const {
+    expect(Kind::Double);
+    return scalar_.d;
+  }
+  [[nodiscard]] bool as_bool() const {
+    expect(Kind::Bool);
+    return scalar_.b;
+  }
+  [[nodiscard]] const std::string& as_string() const {
+    expect(Kind::String);
+    return *static_cast<const std::string*>(ref_.get());
+  }
+  /// The referenced heap value, or null for a null reference of this kind.
+  [[nodiscard]] Object* as_object() const { return heap<Object>(Kind::Object); }
+  [[nodiscard]] ArrayVal* as_array() const { return heap<ArrayVal>(Kind::Array); }
+  [[nodiscard]] ListVal* as_list() const { return heap<ListVal>(Kind::List); }
 
   /// Numeric coercion (int or double); error otherwise.
   [[nodiscard]] double to_double() const;
@@ -79,18 +112,38 @@ class Value {
   [[nodiscard]] bool equals(const Value& other) const;
 
  private:
-  explicit Value(std::int64_t v) : v_(v) {}
-  explicit Value(double v) : v_(v) {}
-  explicit Value(bool v) : v_(v) {}
-  explicit Value(std::string v) : v_(std::move(v)) {}
-  explicit Value(ObjectPtr v) : v_(std::move(v)) {}
-  explicit Value(ArrayPtr v) : v_(std::move(v)) {}
-  explicit Value(ListPtr v) : v_(std::move(v)) {}
+  enum class Kind : std::uint8_t {
+    Null, Int, Double, Bool, String, Object, Array, List
+  };
 
-  std::variant<std::monostate, std::int64_t, double, bool, std::string,
-               ObjectPtr, ArrayPtr, ListPtr>
-      v_;
+  union Scalar {
+    std::int64_t i;
+    double d;
+    bool b;
+  };
+
+  Value(Kind kind, Scalar scalar) : kind_(kind), scalar_(scalar) {}
+  Value(Kind kind, std::shared_ptr<const void> ref)
+      : kind_(kind), ref_(std::move(ref)) {}
+
+  void expect(Kind kind) const {
+    if (kind_ != kind) wrong_kind();
+  }
+  [[noreturn]] static void wrong_kind();  // throws std::bad_variant_access
+  // Heap values are created mutable (make_shared<Object> and the like) and
+  // only stored as `const void` to share one reference slot.
+  template <typename T>
+  [[nodiscard]] T* heap(Kind kind) const {
+    expect(kind);
+    return static_cast<T*>(const_cast<void*>(ref_.get()));
+  }
+
+  Kind kind_ = Kind::Null;
+  Scalar scalar_{0};
+  std::shared_ptr<const void> ref_;  // string, object, array or list
 };
+
+static_assert(sizeof(Value) <= 32);
 
 /// Default value for a declared type: 0 / 0.0 / false / "" / null.
 Value default_value(const lang::Type& type);

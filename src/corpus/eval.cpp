@@ -44,7 +44,7 @@ void stage_parse(ProgramTask& item) {
 /// in-item error, the front-end's error convention. Granularity is the
 /// stage boundary — a stage already running finishes on its own.
 bool stop_requested(ProgramTask& item) {
-  if (item.error.empty() && rt::current_stop_token().stop_requested())
+  if (item.error.empty() && rt::stop_requested())
     item.error = item.program->name + ": cancelled (stop requested)";
   return !item.error.empty();
 }

@@ -140,6 +140,12 @@ struct FieldAccess : Expr {
 struct IndexAccess : Expr {
   ExprPtr base;
   ExprPtr index;
+  /// Filled by sema: the base is a variable and the index calls no method
+  /// and runs no `new`, so no program code runs between reading the base
+  /// and indexing it. The interpreter then indexes the variable's slot in
+  /// place; otherwise it copies the base first, since a method or
+  /// constructor run by the index could reassign the variable.
+  bool borrows_base = false;
   IndexAccess() : Expr(ExprKind::IndexAccess) {}
 };
 

@@ -73,6 +73,7 @@ ExprPtr clone_expr(const Expr& e, Program& program) {
       auto n = shell<IndexAccess>(e, program);
       n->base = clone_expr(*src.base, program);
       n->index = clone_expr(*src.index, program);
+      n->borrows_base = src.borrows_base;
       return n;
     }
     case ExprKind::Call: {

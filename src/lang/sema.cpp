@@ -344,6 +344,15 @@ TypePtr Sema::analyze_expr(Expr& e) {
       if (index->kind != Type::Kind::Int)
         diags_.error(ix.index->range,
                      "index must be int, got '" + index->str() + "'");
+      if (ix.base->kind == ExprKind::VarRef) {
+        bool runs_code = false;
+        for_each_expr_in(*ix.index, [&runs_code](const Expr& x) {
+          runs_code = runs_code || x.kind == ExprKind::New ||
+                      (x.kind == ExprKind::Call &&
+                       x.as<Call>().builtin == Builtin::None);
+        });
+        ix.borrows_base = !runs_code;
+      }
       if (base->kind == Type::Kind::Array || base->kind == Type::Kind::List) {
         result = base->element;
       } else {

@@ -8,6 +8,8 @@ thread_local StopToken t_ambient_token;
 
 StopToken current_stop_token() { return t_ambient_token; }
 
+bool stop_requested() { return t_ambient_token.stop_requested(); }
+
 StopScope::StopScope(StopToken token) : previous_(t_ambient_token) {
   t_ambient_token = std::move(token);
 }

@@ -96,6 +96,10 @@ class StopSource {
 /// a nested region passes it as its own source's parent.
 [[nodiscard]] StopToken current_stop_token();
 
+/// Whether the calling thread's ambient token has stopped. Reads the token
+/// in place, where current_stop_token().stop_requested() copies it first.
+[[nodiscard]] bool stop_requested();
+
 /// RAII: installs `token` as the thread-ambient token, restoring the
 /// previous one on destruction. Regions wrap user-code invocation in this.
 class StopScope {

@@ -132,8 +132,7 @@ void parallel_for_driver(std::int64_t begin, std::int64_t end,
   const std::int64_t threads = effective_threads(tuning);
   const bool telemetry = observe::enabled();
   if (telemetry) loop_metrics().loops.add();
-  if (current_stop_token().stop_requested())
-    throw OperationCancelled("parallel_for");
+  if (stop_requested()) throw OperationCancelled("parallel_for");
   if (tuning.sequential || threads <= 1 || range == 1) {
     if (telemetry) loop_metrics().sequential_fallbacks.add();
     invoke(ctx, begin, end);

@@ -202,8 +202,12 @@ std::optional<Request> Request::from_json(const json::Value& v,
   req.source = v.at("source").as_string();
   req.optimistic = v.at("optimistic").as_bool(true);
   req.no_cache = v.at("no_cache").as_bool(false);
-  if (req.deadline_ms < 0 || req.max_evals < 1) {
-    if (error) *error = "negative budget field";
+  if (req.deadline_ms < 0) {
+    if (error) *error = "'deadline_ms' must be >= 0";
+    return std::nullopt;
+  }
+  if (req.max_evals < 1) {
+    if (error) *error = "'max_evals' must be >= 1";
     return std::nullopt;
   }
   const bool needs_source = req.kind == RequestKind::Parse ||

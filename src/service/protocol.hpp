@@ -64,8 +64,9 @@ struct Request {
 
   [[nodiscard]] json::Value to_json() const;
   /// Decode; nullopt + *error on a structurally invalid request (bad kind,
-  /// a number field that is not an in-range integer, a negative budget,
-  /// missing source for kinds that need one).
+  /// a number field that is not an in-range integer, a negative
+  /// `deadline_ms` or a `max_evals` below 1, missing source for kinds that
+  /// need one).
   static std::optional<Request> from_json(const json::Value& v,
                                           std::string* error);
 };

@@ -565,8 +565,7 @@ std::shared_ptr<const ModelEntry> Server::acquire_model(const Request& req,
   const corpus::CorpusReport report =
       corpus::evaluate_corpus({&program}, config);
 
-  if (rt::current_stop_token().stop_requested())
-    throw rt::OperationCancelled("service request");
+  if (rt::stop_requested()) throw rt::OperationCancelled("service request");
   if (!adopted) {
     const std::string& error = report.programs.empty()
                                    ? std::string("front-end produced no report")
@@ -666,8 +665,7 @@ json::Value Server::do_tune(const Request& req, const ModelEntry& entry) {
   const auto tuner = tuning::make_linear_tuner();
   const tuning::TuningRun run = tuner->tune(
       config, measure, static_cast<std::size_t>(req.max_evals));
-  if (rt::current_stop_token().stop_requested())
-    throw rt::OperationCancelled("service request");
+  if (rt::stop_requested()) throw rt::OperationCancelled("service request");
   result.set("tuned", true);
   result.set("evaluations", run.evaluations);
   result.set("best_score_s", run.best_score);

@@ -71,25 +71,25 @@ struct ParallelPlanExecutor::Impl {
         candidates(std::move(cands)),
         tuning(t),
         roles(static_cast<std::size_t>(p.next_node_id), Role::None) {
-    // One plan per candidate, built once; every run reads it. Predict each
-    // region on this machine from it before any transformation runs. The
-    // reports carry the tuned-best speedup next to what actually happened
-    // (figure 4c's "estimated speedup" column); untuned, the speedup at the
-    // default knobs gates the region.
+    // One plan per candidate, built once; every run reads it. Without a
+    // tuning file each region runs at its default knobs, so the speedup
+    // predicted there on this machine gates it; a tuning file is obeyed as
+    // is, and nothing is predicted.
     std::vector<patterns::RegionPlan> region_plans;
     region_plans.reserve(candidates.size());
     for (const Candidate& c : candidates)
       region_plans.push_back(patterns::plan_region(c, tuning));
     const tuning::Hardware hw;
-    const std::vector<tuning::SpeedupPrediction> predictions =
-        tuning::predict_speedups(region_plans, hw);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      candidates[i].predicted_speedup = predictions[i].speedup;
-      arm(std::move(region_plans[i]), predictions[i], hw.effective());
-    }
+    std::vector<tuning::SpeedupPrediction> predictions;
+    if (!tuning) predictions = tuning::predict_default_speedups(region_plans, hw);
+    for (std::size_t i = 0; i < candidates.size(); ++i)
+      arm(std::move(region_plans[i]),
+          tuning ? nullptr : &predictions[i], hw.effective());
   }
 
-  void arm(patterns::RegionPlan plan, const tuning::SpeedupPrediction& pred,
+  /// `pred` is the region's prediction at default knobs, null with a
+  /// tuning file.
+  void arm(patterns::RegionPlan plan, const tuning::SpeedupPrediction* pred,
            int hardware_threads) {
     const Candidate& c = *plan.candidate;
     if (!c.anchor) return;
@@ -103,9 +103,7 @@ struct ParallelPlanExecutor::Impl {
       }
     }
     armed.plan = std::move(plan);
-    // The gate: without a tuning file the region runs at its default
-    // knobs, so their prediction decides. A tuning file is obeyed as is.
-    if (!tuning) armed.gate_reason = gate_note(pred, hardware_threads);
+    if (pred) armed.gate_reason = gate_note(*pred, hardware_threads);
     plans[c.anchor->id] = std::move(armed);
     roles[static_cast<std::size_t>(c.anchor->id)] = Role::Anchor;
   }
@@ -122,7 +120,6 @@ struct ParallelPlanExecutor::Impl {
     PlanReport& r = reports[c.anchor->id];
     r.loop_stmt_id = c.anchor->id;
     r.kind = c.kind;
-    r.predicted_speedup = c.predicted_speedup;
     return r;
   }
 
@@ -132,7 +129,6 @@ struct ParallelPlanExecutor::Impl {
     r.ran_parallel = false;
     r.note = why;
     r.runs += 1;
-    r.predicted_speedup = 1.0;  // ran sequentially: no speedup to predict
   }
 
   /// Graceful degradation after a runtime fault: record the event; the

@@ -20,8 +20,10 @@
 // recognized reductions, which run as parallel-reduce with per-chunk
 // identity accumulators. Without a tuning file the same fallback is taken
 // by every region the design-time cost model (tuning/model) predicts to
-// run slower in parallel. The executor builds each candidate's plan once,
-// at construction, and every run reads it.
+// run slower in parallel at its default knobs; the executor prices each
+// region only sequentially and there, with no knob search, and with a
+// tuning file it predicts nothing. It builds each candidate's plan once, at
+// construction, and every run reads it.
 
 #include <memory>
 #include <string>
@@ -37,6 +39,9 @@ struct SpeedupPrediction;
 
 namespace patty::transform {
 
+/// What one region did over the executor's runs. A gated region's note
+/// states its prediction at default knobs; tuning::predict_speedups gives
+/// the tuned-best one.
 struct PlanReport {
   int loop_stmt_id = -1;
   patterns::PatternKind kind = patterns::PatternKind::Pipeline;
@@ -44,10 +49,6 @@ struct PlanReport {
   std::string note;              // why, when a fallback happened
   std::uint64_t elements = 0;    // stream elements / iterations processed
   std::size_t runs = 0;          // times the loop was entered
-  /// Design-time cost-model prediction for this machine (before any run):
-  /// best tuned configuration's speedup over sequential. 1.0 for regions
-  /// that degrade to sequential; 0 when no prediction was made.
-  double predicted_speedup = 0.0;
 };
 
 class ParallelPlanExecutor : public analysis::StmtInterceptor {

@@ -652,11 +652,12 @@ DesignModel design_model_scaled(const patterns::RegionPlan& plan,
   return out;
 }
 
-/// Search the config's domain under `model` and report the predicted best
-/// against the sequential cost.
+/// Price the config under `model` sequentially and at its own knob values.
+/// With `search`, also search its domain and report the predicted best;
+/// without, only sequential_cost and default_speedup are filled.
 SpeedupPrediction predict_over_space(
     const std::shared_ptr<const CostModel>& model, rt::TuningConfig config,
-    const std::string& prefix, const Hardware& hw) {
+    const std::string& prefix, const Hardware& hw, bool search) {
   SpeedupPrediction out;
   if (!model) return out;
   const detail::Space space(config);
@@ -671,6 +672,15 @@ SpeedupPrediction predict_over_space(
     if (slot != kAbsent) seq[static_cast<std::size_t>(slot)] = 1;
   }
   out.sequential_cost = bound->cost(seq.data(), threads);
+  if (!search) {
+    // The point a search starts from, priced the way predict_best does.
+    const std::vector<std::int64_t> start =
+        space.values(space.indices_of(config));
+    const double start_cost = bound->cost(start.data(), threads);
+    out.default_speedup =
+        start_cost > 0.0 ? out.sequential_cost / start_cost : 1.0;
+    return out;
+  }
 
   const PredictedBest best =
       predict_best(*bound, space, threads, space.indices_of(config), 4096);
@@ -686,47 +696,28 @@ SpeedupPrediction predict_over_space(
   return out;
 }
 
-/// Predict one candidate over its own tuning domain, from its plan's model
-/// with the given nesting discounts.
+/// Predict one candidate over its own tuning domain (see
+/// predict_over_space), from its plan's model with the given nesting
+/// discounts.
 SpeedupPrediction predict_scaled(const patterns::RegionPlan& plan,
                                  const std::vector<double>& stage_scale,
-                                 double body_scale, const Hardware& hw) {
+                                 double body_scale, const Hardware& hw,
+                                 bool search) {
   const patterns::Candidate& c = *plan.candidate;
   rt::TuningConfig config;
   for (const rt::TuningParameter& p : c.tuning) config.define(p);
   DesignModel dm = design_model_scaled(plan, stage_scale, body_scale);
-  SpeedupPrediction out = predict_over_space(dm.model, std::move(config),
-                                             candidate_prefix(c), hw);
+  SpeedupPrediction out = predict_over_space(
+      dm.model, std::move(config), candidate_prefix(c), hw, search);
   out.leaves = std::move(dm.leaves);
   return out;
 }
 
-}  // namespace
-
-PipelineModelParams design_pipeline(const patterns::RegionPlan& plan) {
-  const patterns::Candidate& c = *plan.candidate;
-  const bool profiled = c.trips_per_entry > 0.0;
-  return pipeline_params(
-      plan, profiled ? c.trips_per_entry : kNominalElements,
-      profiled ? c.cost_per_iteration * kUsPerCost : kNominalBodyUs, {});
-}
-
-SpeedupPrediction predict_candidate_speedup(const patterns::Candidate& c,
-                                            Hardware hw) {
-  return predict_scaled(patterns::plan_region(c, nullptr), {}, 1.0, hw);
-}
-
-std::vector<SpeedupPrediction> predict_speedups(
-    const std::vector<patterns::Candidate>& candidates, Hardware hw) {
-  std::vector<patterns::RegionPlan> plans;
-  plans.reserve(candidates.size());
-  for (const patterns::Candidate& c : candidates)
-    plans.push_back(patterns::plan_region(c, nullptr));
-  return predict_speedups(plans, hw);
-}
-
-std::vector<SpeedupPrediction> predict_speedups(
-    const std::vector<patterns::RegionPlan>& plans, Hardware hw) {
+/// predict_speedups over plans, with or without the knob search: nested
+/// candidates compose innermost first.
+std::vector<SpeedupPrediction> predict_nested(
+    const std::vector<patterns::RegionPlan>& plans, const Hardware& hw,
+    bool search) {
   // Innermost first (shortest source range), so an outer region composes
   // over its nested candidates' already-computed predictions.
   std::vector<SpeedupPrediction> out(plans.size());
@@ -788,10 +779,39 @@ std::vector<SpeedupPrediction> predict_speedups(
         body_scale = std::max(0.05, body_scale * (1.0 - f + f / spd));
       }
     }
-    out[oi] = predict_scaled(plan, stage_scale, body_scale, hw);
+    out[oi] = predict_scaled(plan, stage_scale, body_scale, hw, search);
     done[oi] = true;
   }
   return out;
+}
+
+}  // namespace
+
+PipelineModelParams design_pipeline(const patterns::RegionPlan& plan) {
+  const patterns::Candidate& c = *plan.candidate;
+  const bool profiled = c.trips_per_entry > 0.0;
+  return pipeline_params(
+      plan, profiled ? c.trips_per_entry : kNominalElements,
+      profiled ? c.cost_per_iteration * kUsPerCost : kNominalBodyUs, {});
+}
+
+SpeedupPrediction predict_candidate_speedup(const patterns::Candidate& c,
+                                            Hardware hw) {
+  return predict_scaled(patterns::plan_region(c, nullptr), {}, 1.0, hw, true);
+}
+
+std::vector<SpeedupPrediction> predict_speedups(
+    const std::vector<patterns::Candidate>& candidates, Hardware hw) {
+  std::vector<patterns::RegionPlan> plans;
+  plans.reserve(candidates.size());
+  for (const patterns::Candidate& c : candidates)
+    plans.push_back(patterns::plan_region(c, nullptr));
+  return predict_nested(plans, hw, true);
+}
+
+std::vector<SpeedupPrediction> predict_default_speedups(
+    const std::vector<patterns::RegionPlan>& plans, Hardware hw) {
+  return predict_nested(plans, hw, false);
 }
 
 void annotate_predicted_speedups(std::vector<patterns::Candidate>& candidates,

@@ -231,10 +231,13 @@ PipelineModelParams design_pipeline(const patterns::RegionPlan& plan);
 std::vector<SpeedupPrediction> predict_speedups(
     const std::vector<patterns::Candidate>& candidates, Hardware hw = {});
 
-/// The same from the candidates' region plans, one per candidate in order:
-/// the models read only the plans' stage graphs, which no tuning changes,
-/// so the plan executor passes its own plans instead of planning twice.
-std::vector<SpeedupPrediction> predict_speedups(
+/// What the plan executor's gate reads, from the candidates' region plans
+/// (one per candidate, in order): the same composition, but each region is
+/// priced only sequentially and at its default knobs, with no search, so
+/// only sequential_cost, default_speedup and leaves are filled. The models
+/// read only the plans' stage graphs, which no tuning changes, so the
+/// executor passes its own plans instead of planning twice.
+std::vector<SpeedupPrediction> predict_default_speedups(
     const std::vector<patterns::RegionPlan>& plans, Hardware hw = {});
 
 /// Fill Candidate::predicted_speedup (the best tuned speedup) for every

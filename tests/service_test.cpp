@@ -334,6 +334,13 @@ TEST(ServiceProtocolTest, RequestValidationRejectsBadInput) {
   EXPECT_FALSE(decode(R"({"id":1,"kind":"parse","source":"x",
                           "deadline_ms":-5})")
                    .empty());
+  // A budget out of its range names the field and the bound.
+  EXPECT_EQ(decode(R"({"id":1,"kind":"parse","source":"x",
+                       "deadline_ms":-1})"),
+            "'deadline_ms' must be >= 0");
+  EXPECT_EQ(decode(R"({"id":1,"kind":"tune","source":"x",
+                       "max_evals":0})"),
+            "'max_evals' must be >= 1");
   // Numbers past the int64 range reach the decoder as doubles; each is a
   // bad request that names its field, never a wrapped-around integer.
   EXPECT_NE(decode(R"({"id":1e300,"kind":"parse","source":"x"})")

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+#include <vector>
+
 #include "analysis/value.hpp"
 
 namespace patty::analysis {
@@ -66,6 +69,45 @@ TEST(ValueTest, Rendering) {
   auto arr = std::make_shared<ArrayVal>();
   arr->elems.resize(3);
   EXPECT_EQ(Value::of_array(arr).str(), "<array[3]>");
+}
+
+TEST(ValueTest, AccessorsOnTheWrongKindThrow) {
+  const std::vector<Value> values = {
+      Value(),
+      Value::of_int(1),
+      Value::of_double(1.5),
+      Value::of_bool(true),
+      Value::of_string("s"),
+      Value::of_object(std::make_shared<Object>()),
+      Value::of_array(std::make_shared<ArrayVal>()),
+      Value::of_list(std::make_shared<ListVal>())};
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const Value& v = values[k];
+    // Value k answers accessor k (null has none) and throws on the others.
+    const auto check = [k](std::size_t own, const auto& access) {
+      if (k == own)
+        EXPECT_NO_THROW(access()) << "value " << k;
+      else
+        EXPECT_THROW(access(), std::bad_variant_access)
+            << "value " << k << ", accessor " << own;
+    };
+    check(1, [&v] { (void)v.as_int(); });
+    check(2, [&v] { (void)v.as_double(); });
+    check(3, [&v] { (void)v.as_bool(); });
+    check(4, [&v] { (void)v.as_string(); });
+    check(5, [&v] { (void)v.as_object(); });
+    check(6, [&v] { (void)v.as_array(); });
+    check(7, [&v] { (void)v.as_list(); });
+  }
+}
+
+TEST(ValueTest, CopiesShareOneStringAndAMovedFromValueIsNull) {
+  Value a = Value::of_string("text");
+  const Value b = a;
+  EXPECT_EQ(&a.as_string(), &b.as_string());
+  const Value c = std::move(a);
+  EXPECT_TRUE(a.is_null());  // read after the move on purpose
+  EXPECT_EQ(c.as_string(), "text");
 }
 
 TEST(ValueTest, SharedMutationVisibleThroughCopies) {
