@@ -63,6 +63,7 @@ void run_profiled(benchmark::State& state,
     analysis::Profiler profiler(program);
     analysis::Interpreter interp(program, &profiler);
     benchmark::DoNotOptimize(interp.run_main());
+    profiler.finish();
     footprint = profiler.memory_footprint();
   }
   state.counters["profile_bytes"] =
@@ -204,7 +205,7 @@ std::size_t profile_once(const lang::Program& program) {
   analysis::Profiler profiler(program);
   analysis::Interpreter interp(program, &profiler);
   benchmark::DoNotOptimize(interp.run_main());
-  benchmark::DoNotOptimize(profiler.loops());
+  profiler.finish();
   return profiler.memory_footprint();
 }
 

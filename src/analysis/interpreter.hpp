@@ -122,10 +122,9 @@ class Interpreter {
   /// Refill the calling thread's step claim from the budget, or throw the
   /// step-limit error once the budget is spent.
   void claim_steps(const lang::Stmt& st);
-  /// A fresh allocation serial while a tracer is attached, else 0.
-  std::uint64_t stamp() {
-    return tracer_ ? next_serial_.fetch_add(1, std::memory_order_relaxed) : 0;
-  }
+  /// A fresh allocation serial while a tracer is attached, else 0. Only a
+  /// traced run stamps, and one thread drives it.
+  std::uint64_t stamp() { return tracer_ ? next_serial_++ : 0; }
   [[noreturn]] void error(SourceRange range, std::string message) const;
 
   void trace_read(const MemLoc& loc) {
@@ -145,12 +144,11 @@ class Interpreter {
   // threads of a parallel region share no counter per statement.
   std::atomic<std::uint64_t> unclaimed_steps_;
   // Serial 0 is the output stream's cell; allocations start at 1.
-  std::atomic<std::uint64_t> next_serial_{1};
-  // Thread-local: pipeline stage workers execute statements concurrently
-  // through the same interpreter, and each thread's reads/writes must be
-  // attributed to the statement *that thread* is executing. call() saves
-  // and restores it around callee bodies, so the per-thread value is
-  // consistent even across nested interpreter instances on one thread.
+  std::uint64_t next_serial_ = 1;
+  // The statement a traced run attributes reads, writes and call sites to.
+  // Only a traced run sets it, but every call() saves and restores it
+  // around the callee's body, the plan executor's threads included, so it
+  // is thread-local rather than a member those threads would share.
   static thread_local const lang::Stmt* current_stmt_;
 
   mutable std::mutex output_mutex_;

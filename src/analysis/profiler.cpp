@@ -9,13 +9,6 @@ namespace {
 
 constexpr int kNone = -1;
 
-/// Adds to a result counter under trace_mutex_: the lock already orders
-/// every writer, so a plain load and store replace a locked read-modify-write.
-void bump(std::atomic<std::uint64_t>& counter, std::uint64_t amount) {
-  counter.store(counter.load(std::memory_order_relaxed) + amount,
-                std::memory_order_relaxed);
-}
-
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   std::uint64_t h = (a ^ (b * 0xc2b2ae3d27d4eb4fULL)) * 0x9e3779b97f4a7c15ULL;
   return h ^ (h >> 29);
@@ -220,7 +213,7 @@ struct Profiler::Trace {
     std::uint64_t iterations = 0;
   };
   struct BranchCount {
-    int stmt_id;
+    const lang::Stmt* if_stmt;
     std::uint64_t taken = 0;
     std::uint64_t not_taken = 0;
   };
@@ -276,7 +269,7 @@ struct Profiler::Trace {
         break;
       case lang::StmtKind::If:
         state.slot = static_cast<int>(branch_counts.size());
-        branch_counts.push_back({st.id});
+        branch_counts.push_back({&st});
         break;
       default:
         if (parent == kNone) {
@@ -408,62 +401,48 @@ struct Profiler::Trace {
 };
 
 Profiler::Profiler(const lang::Program& program)
-    : trace_(std::make_unique<Trace>(program)),
-      stmt_profiles_(trace_->stmts.size()) {}
+    : trace_(std::make_unique<Trace>(program)) {}
 
 Profiler::~Profiler() = default;
 
 void Profiler::on_stmt(const lang::Stmt& stmt) {
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   const int s = t.index_of(stmt.id);
   if (s != kNone) ++t.stmts[s].exec_count;
-  t.move_current(s, total_cost());
-  bump(total_cost_, 1);
-  dirty_.store(true, std::memory_order_relaxed);
+  t.move_current(s, total_cost_);
+  ++total_cost_;
 }
 
-void Profiler::on_work(std::uint64_t cost) {
-  std::scoped_lock lock(trace_mutex_);
-  bump(total_cost_, cost);
-  dirty_.store(true, std::memory_order_relaxed);
-}
+void Profiler::on_work(std::uint64_t cost) { total_cost_ += cost; }
 
 void Profiler::on_read(const MemLoc& loc, const lang::Stmt& stmt) {
   const std::int64_t slot = loc.kind == MemLoc::Kind::Local ? loc.index : -1;
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   Cell& c = t.cell(loc);
   if (c.writer.stmt) t.record_dep(c.writer, stmt, DepKind::True, slot);
   t.set(c.reader, stmt);
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 void Profiler::on_write(const MemLoc& loc, const lang::Stmt& stmt) {
   const std::int64_t slot = loc.kind == MemLoc::Kind::Local ? loc.index : -1;
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   Cell& c = t.cell(loc);
   if (c.reader.stmt && c.reader.stmt != &stmt)
     t.record_dep(c.reader, stmt, DepKind::Anti, slot);
   if (c.writer.stmt) t.record_dep(c.writer, stmt, DepKind::Output, slot);
   t.set(c.writer, stmt);
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 void Profiler::on_loop_enter(const lang::Stmt& loop) {
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   const int s = t.index_of(loop.id);
   if (s != kNone) ++t.loop_counts[t.stmts[s].slot].entries;
   // The new node takes over the stack's reference to its parent.
   t.loop_top =
       t.nodes.make({&loop, -1, t.loop_top, 0, 0, depth_of(t.call_top)});
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 void Profiler::on_loop_iteration(const lang::Stmt& loop, std::int64_t iter) {
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   const int s = t.index_of(loop.id);
   if (s != kNone) ++t.loop_counts[t.stmts[s].slot].iterations;
@@ -478,11 +457,9 @@ void Profiler::on_loop_iteration(const lang::Stmt& loop, std::int64_t iter) {
       t.nodes.release(top);
     }
   }
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 void Profiler::on_loop_exit(const lang::Stmt& loop) {
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   LoopNode* top = t.loop_top;
   if (top && top->loop == &loop) {
@@ -493,18 +470,16 @@ void Profiler::on_loop_exit(const lang::Stmt& loop) {
 }
 
 void Profiler::on_branch(const lang::Stmt& if_stmt, bool taken) {
-  std::scoped_lock lock(trace_mutex_);
-  const int s = trace_->index_of(if_stmt.id);
+  Trace& t = *trace_;
+  const int s = t.index_of(if_stmt.id);
   if (s == kNone) return;
-  Trace::BranchCount& b = trace_->branch_counts[trace_->stmts[s].slot];
+  Trace::BranchCount& b = t.branch_counts[t.stmts[s].slot];
   if (taken) b.taken += 1;
   else b.not_taken += 1;
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 void Profiler::on_call(const lang::MethodDecl& callee,
                        const lang::Stmt* call_site) {
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   const int body = callee.body ? t.index_of(callee.body->id) : kNone;
   const int site = call_site ? t.index_of(call_site->id) : kNone;
@@ -513,50 +488,29 @@ void Profiler::on_call(const lang::MethodDecl& callee,
   // The new node takes over the stack's reference to its parent.
   t.call_top = t.calls.make({call_site, t.call_top, 0, 0});
   for (int s = site; s != kNone; s = t.stmts[s].parent)
-    t.open(s, total_cost());
-  dirty_.store(true, std::memory_order_relaxed);
+    t.open(s, total_cost_);
 }
 
 void Profiler::on_return(const lang::MethodDecl& callee) {
   (void)callee;
-  std::scoped_lock lock(trace_mutex_);
   Trace& t = *trace_;
   if (t.call_sites.empty()) return;
   for (int s = t.call_sites.back(); s != kNone; s = t.stmts[s].parent)
-    t.close(s, total_cost());
+    t.close(s, total_cost_);
   t.call_sites.pop_back();
   if (CallNode* top = t.call_top) {
     NodePool<CallNode>::retain(top->parent);
     t.call_top = top->parent;
     t.calls.release(top);
   }
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
-void Profiler::finalize() const {
-  // Double-checked: concurrent readers of a shared model hit the lock-free
-  // acquire load once the fold has happened; the first caller folds under
-  // the trace mutex. (Callers must not still be tracing — see the class
-  // contract — but concurrent *queries* are fine.)
-  if (!dirty_.load(std::memory_order_acquire)) return;
-  std::scoped_lock lock(trace_mutex_);
-  if (!dirty_.load(std::memory_order_relaxed)) return;
+void Profiler::finish() {
   const Trace& t = *trace_;
-  const std::uint64_t total = total_cost();
-  for (std::size_t s = 0; s < t.stmts.size(); ++s) {
-    stmt_profiles_[s].exec_count.store(t.stmts[s].exec_count,
-                                       std::memory_order_relaxed);
-    stmt_profiles_[s].inclusive_cost.store(
-        Trace::inclusive(t.stmts[s], total), std::memory_order_relaxed);
-  }
-  for (const Trace::LoopCount& count : t.loop_counts) {
-    if (count.entries == 0 && count.iterations == 0) continue;
-    LoopProfile& p = loops_[count.loop->id];
-    p.loop = count.loop;
-    p.entries = count.entries;
-    p.total_iterations = count.iterations;
-    p.deps.clear();
-  }
+  for (const Trace::LoopCount& count : t.loop_counts)
+    if (count.entries > 0 || count.iterations > 0)
+      loops_[count.loop->id] = {count.loop, count.entries, count.iterations,
+                                {}};
   std::vector<std::pair<DepKey, std::int64_t>> deps;
   t.deps.for_each([&deps](const DepKey& key, std::int64_t distance) {
     deps.emplace_back(key, distance);
@@ -578,51 +532,35 @@ void Profiler::finalize() const {
   for (auto& [id, p] : loops_) p.deps.shrink_to_fit();
   for (const Trace::BranchCount& b : t.branch_counts)
     if (b.taken + b.not_taken > 0)
-      branches_[b.stmt_id] = {b.taken, b.not_taken};
-  dirty_.store(false, std::memory_order_release);
+      branches_[b.if_stmt->id] = {b.if_stmt, b.taken, b.not_taken};
 }
 
-const Profiler::StmtProfile& Profiler::stmt_profile(int stmt_id) const {
-  static const StmtProfile empty;
+Profiler::StmtProfile Profiler::stmt_profile(int stmt_id) const {
   const int s = trace_->index_of(stmt_id);
-  if (s == kNone) return empty;
-  StmtProfile& p = stmt_profiles_[static_cast<std::size_t>(s)];
-  if (dirty_.load(std::memory_order_acquire)) {
-    // Tracing may still run: refresh this statement alone, under the lock,
-    // and leave the loop and branch tables to the fold.
-    std::scoped_lock lock(trace_mutex_);
-    const Trace::StmtState& st = trace_->stmts[static_cast<std::size_t>(s)];
-    p.exec_count.store(st.exec_count, std::memory_order_relaxed);
-    p.inclusive_cost.store(Trace::inclusive(st, total_cost()),
-                           std::memory_order_relaxed);
-  }
-  return p;
+  if (s == kNone) return {};
+  const Trace::StmtState& st = trace_->stmts[static_cast<std::size_t>(s)];
+  return {st.exec_count, Trace::inclusive(st, total_cost_)};
 }
 
 double Profiler::runtime_share(int stmt_id) const {
-  const std::uint64_t inclusive = stmt_profile(stmt_id).inclusive_cost;
-  if (total_cost() == 0) return 0.0;
-  return static_cast<double>(inclusive) / static_cast<double>(total_cost());
+  if (total_cost_ == 0) return 0.0;
+  return static_cast<double>(stmt_profile(stmt_id).inclusive_cost) /
+         static_cast<double>(total_cost_);
 }
 
 const Profiler::LoopProfile* Profiler::loop_profile(int loop_stmt_id) const {
-  finalize();
   auto it = loops_.find(loop_stmt_id);
   return it == loops_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t Profiler::call_count(const lang::MethodDecl* m) const {
-  std::scoped_lock lock(trace_mutex_);
   const int body = m && m->body ? trace_->index_of(m->body->id) : kNone;
   return body == kNone ? 0 : trace_->call_counts[trace_->stmts[body].slot];
 }
 
 std::size_t Profiler::memory_footprint() const {
-  finalize();
-  std::scoped_lock lock(trace_mutex_);
   const Trace& t = *trace_;
   std::size_t bytes = t.index_of_id.capacity() * sizeof(int) +
-                      stmt_profiles_.size() * sizeof(StmtProfile) +
                       t.stmts.capacity() * sizeof(Trace::StmtState) +
                       t.loop_counts.capacity() * sizeof(Trace::LoopCount) +
                       t.branch_counts.capacity() * sizeof(Trace::BranchCount) +

@@ -6,11 +6,9 @@
 // occurred under the given input data). Branch outcomes feed the
 // path-coverage input synthesis for generated parallel unit tests.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "analysis/dependence.hpp"
@@ -46,18 +44,14 @@ namespace patty::analysis {
 ///  - One hash map from a cell to its last reader and last writer, and one
 ///    flat map of dependence accumulators, sorted once when folded.
 ///
-/// Thread-safety contract (DESIGN.md, "Shared-state rules"):
-///  - Every trace event takes one internal mutex, so tracing from several
-///    threads (stage workers sharing one interpreter) is TSan-clean and
-///    every count stays exact.
-///  - stmt_profile(), runtime_share(), total_cost() and call_count() may be
-///    called while tracing runs: a statement's counters are read under the
-///    mutex into its stable result slot, open interval included.
-///  - loops(), loop_profile(), branches() and memory_footprint() fold the
-///    whole profile once, by the first of them after tracing
-///    (SemanticModel::build triggers it right after its run). The fold is
-///    double-checked, so concurrent readers take no lock once it is done,
-///    but it must not overlap tracing — finish (join) tracing first.
+/// Ownership (DESIGN.md, "Shared-state rules"): one thread traces, as with
+/// every Tracer, so the profiler takes no lock. Once the traced run has
+/// returned, that thread calls finish(), which builds the loop and branch
+/// tables. From then on the profile is immutable: any number of threads may
+/// read it (daemon workers share a cached model's profile), and no reader
+/// writes. stmt_profile(), runtime_share(), total_cost() and call_count()
+/// read the trace state itself; loop_profile() and branches() are valid
+/// after finish().
 class Profiler : public Tracer {
  public:
   explicit Profiler(const lang::Program& program);
@@ -76,10 +70,14 @@ class Profiler : public Tracer {
                const lang::Stmt* call_site) override;
   void on_return(const lang::MethodDecl& callee) override;
 
+  /// Folds the trace into the loop and branch tables. Call it once, on the
+  /// tracing thread, after the traced run and before sharing the profile.
+  void finish();
+
   // Results ----------------------------------------------------------------
   struct StmtProfile {
-    std::atomic<std::uint64_t> exec_count{0};
-    std::atomic<std::uint64_t> inclusive_cost{0};  // own + nested + callees
+    std::uint64_t exec_count = 0;
+    std::uint64_t inclusive_cost = 0;  // own + nested + callees
   };
 
   struct LoopProfile {
@@ -91,24 +89,19 @@ class Profiler : public Tracer {
   };
 
   struct BranchProfile {
+    const lang::Stmt* if_stmt = nullptr;
     std::uint64_t taken = 0;
     std::uint64_t not_taken = 0;
   };
 
-  [[nodiscard]] const StmtProfile& stmt_profile(int stmt_id) const;
-  [[nodiscard]] std::uint64_t total_cost() const {
-    return total_cost_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] StmtProfile stmt_profile(int stmt_id) const;
+  [[nodiscard]] std::uint64_t total_cost() const { return total_cost_; }
   /// Fraction of total cost attributed to this statement (inclusive).
   [[nodiscard]] double runtime_share(int stmt_id) const;
   /// Loop profile, or nullptr if the loop never executed.
   [[nodiscard]] const LoopProfile* loop_profile(int loop_stmt_id) const;
-  [[nodiscard]] const std::map<int, LoopProfile>& loops() const {
-    finalize();
-    return loops_;
-  }
+  /// Every executed branch, by the id of its If statement.
   [[nodiscard]] const std::map<int, BranchProfile>& branches() const {
-    finalize();
     return branches_;
   }
   [[nodiscard]] std::uint64_t call_count(const lang::MethodDecl* m) const;
@@ -119,21 +112,11 @@ class Profiler : public Tracer {
  private:
   struct Trace;  // structural trace state (profiler.cpp)
 
-  /// Fold trace state into the result fields; idempotent, double-checked.
-  void finalize() const;
-
-  // Guarded by trace_mutex_, but for its statement index, which is fixed at
-  // construction and read without the lock.
   std::unique_ptr<Trace> trace_;
-  mutable std::mutex trace_mutex_;
-  std::atomic<std::uint64_t> total_cost_{0};
-
-  // Results, rebuilt in place under trace_mutex_: stmt_profiles_ by
-  // stmt_profile() and finalize(), the maps by finalize() alone.
-  mutable std::vector<StmtProfile> stmt_profiles_;  // by compact index
-  mutable std::map<int, LoopProfile> loops_;
-  mutable std::map<int, BranchProfile> branches_;
-  mutable std::atomic<bool> dirty_{false};
+  std::uint64_t total_cost_ = 0;
+  // Built by finish().
+  std::map<int, LoopProfile> loops_;
+  std::map<int, BranchProfile> branches_;
 };
 
 }  // namespace patty::analysis

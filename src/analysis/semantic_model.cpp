@@ -32,10 +32,10 @@ std::unique_ptr<SemanticModel> SemanticModel::build(
     model->profiler_ = std::make_unique<Profiler>(program);
     Interpreter interp(program, model->profiler_.get());
     interp.run_main();  // throws RuntimeError on failure
-    // Fold observed dependences now, while the model is still exclusively
-    // ours: later queries (concurrent ones from daemon workers sharing a
-    // cached model too) then take the lock-free finalized fast path.
-    model->profiler_->loops();
+    // Fold the loop and branch tables while the model is still ours: from
+    // here the profile is immutable, so daemon workers sharing a cached
+    // model read it without a lock.
+    model->profiler_->finish();
   }
   return model;
 }

@@ -2,7 +2,10 @@
 // Instrumentation interface for the interpreter. The dynamic-analysis phase
 // of the paper's process model (runtime shares, observed dependences, loop
 // trip counts, branch outcomes for path coverage) is implemented as Tracer
-// subclasses; plain execution passes no tracer and pays no cost.
+// subclasses; plain execution passes no tracer and pays no cost. One thread
+// drives a tracer: a traced run is sequential (only the untraced plan
+// executor runs statements on several threads), so a tracer needs no
+// synchronisation of its own.
 
 #include <cstdint>
 

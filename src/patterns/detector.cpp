@@ -31,6 +31,10 @@ std::string stage_label(std::size_t index) {
 
 namespace {
 
+/// Replication ceiling offered to the tuner: the top of every replication,
+/// worker-thread and crew-size knob's domain.
+constexpr int kMaxReplication = 8;
+
 /// PLCD: control statements that affect other stream elements.
 /// `allow_continue`: a top-level continue only skips its own element and is
 /// admissible for data-parallel loops, but breaks the fixed processing
@@ -315,7 +319,7 @@ PipelineOutcome detect_pipeline(const SemanticModel& model, const Stmt& loop,
     const StageSpec& spec = cand.stages[s];
     if (spec.replicable) {
       add_param("stage" + spec.label + ".replication", rt::TuningKind::Int, 1,
-                1, options.max_replication,
+                1, kMaxReplication,
                 "StageReplication for stage " + spec.label);
       add_param("stage" + spec.label + ".order", rt::TuningKind::Bool, 1, 0, 1,
                 "OrderPreservation for replicated stage " + spec.label);
@@ -477,7 +481,7 @@ PipelineOutcome detect_data_parallel(const SemanticModel& model,
   const std::string prefix = loop_prefix(model, loop, "parfor");
   const std::string where = loop.range.str();
   cand.tuning.push_back({prefix + ".threads", rt::TuningKind::Int, 0, 0,
-                         options.max_replication, 1, where,
+                         kMaxReplication, 1, where,
                          "worker threads (0 = hardware)"});
   cand.tuning.push_back({prefix + ".grain", rt::TuningKind::Int, 0, 0, 256, 64,
                          where, "chunk size (0 = auto)"});
@@ -488,8 +492,7 @@ PipelineOutcome detect_data_parallel(const SemanticModel& model,
   return outcome;
 }
 
-std::vector<Candidate> detect_master_worker(const SemanticModel& model,
-                                            const DetectionOptions& options) {
+std::vector<Candidate> detect_master_worker(const SemanticModel& model) {
   std::vector<Candidate> out;
   const lang::Program& program = model.program();
   for (const auto& cls : program.classes) {
@@ -562,7 +565,7 @@ std::vector<Candidate> detect_master_worker(const SemanticModel& model,
             for (const Stmt* st : run) {
               const std::uint64_t runs =
                   model.profile()
-                      ? model.profile()->stmt_profile(st->id).exec_count.load()
+                      ? model.profile()->stmt_profile(st->id).exec_count
                       : 0;
               if (runs == 0) {
                 cand.task_costs.clear();
@@ -581,7 +584,7 @@ std::vector<Candidate> detect_master_worker(const SemanticModel& model,
                           " consecutive independent call statements";
             cand.tuning.push_back(
                 {loop_prefix(model, *run.front(), "masterworker") + ".workers",
-                 rt::TuningKind::Int, 0, 0, options.max_replication, 1,
+                 rt::TuningKind::Int, 0, 0, kMaxReplication, 1,
                  run.front()->range.str(),
                  "worker crew size (0 = shared pool)"});
             out.push_back(std::move(cand));
@@ -635,7 +638,7 @@ DetectionResult detect_all(const SemanticModel& model,
     else if (o.rejection)
       result.rejected.push_back(std::move(*o.rejection));
   }
-  for (Candidate& mw : detect_master_worker(model, options)) {
+  for (Candidate& mw : detect_master_worker(model)) {
     if (mw.runtime_share >= options.min_runtime_share)
       result.candidates.push_back(std::move(mw));
   }

@@ -20,15 +20,15 @@ struct DetectionOptions {
   bool optimistic = true;
   /// Ignore candidates whose whole-program runtime share is below this.
   double min_runtime_share = 0.0;
-  /// Default replication ceiling offered to the tuner.
-  int max_replication = 8;
   /// PLDS: distrust observed independence for array writes whose subscript
   /// loads memory (`a[idx[i]] = ...`): the profiled input may be a
   /// collision-free special case of an aliasing access pattern. Fires only
   /// when the static analysis disagrees (sees a carried dependence), so
   /// statically-proven loops are unaffected. Off reproduces the pre-guard
-  /// optimistic detector (used by the certification tests to manufacture
-  /// racy residue).
+  /// optimistic detector, which a regression test compares against. Racy
+  /// residue for the certifier needs no such switch: a scatter through a
+  /// local copy of the index load (`int j = idx[i]; dst[j] = ...`) escapes
+  /// the guard.
   bool scatter_guard = true;
 };
 
@@ -50,7 +50,7 @@ PipelineOutcome detect_data_parallel(const analysis::SemanticModel& model,
 /// Detect standalone master/worker regions (runs of >= 2 consecutive,
 /// mutually independent, call-bearing statements) in all method bodies.
 std::vector<Candidate> detect_master_worker(
-    const analysis::SemanticModel& model, const DetectionOptions& options);
+    const analysis::SemanticModel& model);
 
 /// Run the whole catalog: every loop is tried as data-parallel first (the
 /// stronger pattern), then as pipeline; plus standalone master/worker

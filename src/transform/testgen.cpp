@@ -250,15 +250,10 @@ std::vector<std::size_t> select_covering_inputs(
       if (error) *error = "variant " + std::to_string(v) + ": " + e.message;
       return {};
     }
-    for (const auto& [stmt_id, branch] : profiler.branches()) {
+    profiler.finish();
+    for (const auto& [id, branch] : profiler.branches()) {
       // Key by source line: ids differ across parses of different variants.
-      const lang::Stmt* st = nullptr;
-      for (const auto& cls : program->classes)
-        for (const auto& m : cls->methods)
-          lang::for_each_stmt(*m->body, [&](const lang::Stmt& s) {
-            if (s.id == stmt_id) st = &s;
-          });
-      const std::uint32_t line = st ? st->range.begin.line : 0;
+      const std::uint32_t line = branch.if_stmt->range.begin.line;
       if (branch.taken > 0) {
         covered[v].insert({line, true});
         universe.insert({line, true});

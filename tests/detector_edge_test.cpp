@@ -312,8 +312,7 @@ class Main {
   for (const RejectedLoop& r : guarded.result.rejected)
     if (r.rule == "PLDS") plds = true;
   EXPECT_TRUE(plds);
-  // Disabling the guard reproduces the pre-fix optimistic claim — the knob
-  // the certification suite uses to manufacture racy residue.
+  // Disabling the guard reproduces the pre-fix optimistic claim.
   DetectionOptions unguarded;
   unguarded.scatter_guard = false;
   Detect trusting(src, unguarded);
